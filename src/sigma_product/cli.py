@@ -750,7 +750,7 @@ class Resolver:
                 raise UnresolvedName(f"undeclared name {name!r}")
             if self.doc.kinds[name] != "fn":
                 raise UnresolvedName(f"{name!r} is a {self.doc.kinds[name]}, not a fn")
-            return self.doc.fns[name]
+            return self._expand_fn(self.doc.fns[name])
         out = []
         for term in terms:
             if isinstance(term.arg, IndRef):
@@ -846,7 +846,7 @@ def run_file(path: str, fmt: str = "text", out=None) -> int:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             text = handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         out.write(format_error("io", str(exc), fmt))
         return 2
     try:
@@ -857,6 +857,11 @@ def run_file(path: str, fmt: str = "text", out=None) -> int:
         return 2
     except ValueError as exc:
         out.write(format_error("error", str(exc), fmt))
+        return 2
+    except Exception as exc:
+        # A defect in the library: report it with a stable kind, never
+        # as a traceback.
+        out.write(format_error("internal", str(exc) or type(exc).__name__, fmt))
         return 2
     out.write(format_fields(fields, fmt))
     return code

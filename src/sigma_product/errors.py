@@ -26,7 +26,9 @@ class NotMeasurable(SigmaProductError):
 
 
 class SizeLimit(SigmaProductError):
-    """A sigma-ring closure would exceed the configured member bound."""
+    """A representation would exceed the configured size bound: the members
+    of a sigma-ring closure, or the residue classes a union of progressions
+    expands into."""
 
     kind = "size-limit"
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import total_ordering
-from typing import Iterable, Union
+from typing import Iterable, TypeAlias, Union
 
 Rational = Fraction
 
@@ -185,7 +185,9 @@ class ConstantTail:
         return ZERO if self.term.is_zero else INF
 
 
-SeriesDesc = Union[FiniteTerms, Geometric, ConstantTail]
+# A string: typing's subscription cache would keep these classes, and every
+# purged copy of the package with them, alive.
+SeriesDesc: TypeAlias = "Union[FiniteTerms, Geometric, ConstantTail]"
 
 
 def sum_series(series: SeriesDesc) -> ExtNonNeg:

@@ -8,9 +8,8 @@ equal.  Integrals are exact; the extended integral allows infinity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, TypeAlias, Union
 
 from sigma_product.errors import (
     NotIntegrable,
@@ -37,7 +36,9 @@ class _NegativeInfinity:
 
 NEG_INF = _NegativeInfinity()
 
-Value = Union[Fraction, ExtNonNeg, _NegativeInfinity, None]
+# A string: typing's subscription cache would keep these classes, and every
+# purged copy of the package with them, alive.
+Value: TypeAlias = "Union[Fraction, ExtNonNeg, _NegativeInfinity, None]"
 
 
 def empty_set_for(universe: tuple):
@@ -233,11 +234,15 @@ def _check_function_universe(f: SimpleFunction, m: Measure) -> None:
 # Product grids
 
 
-@dataclass(frozen=True)
 class _Grid:
-    a_parts: tuple
-    b_parts: tuple
-    coeffs: tuple  # coeffs[i][j] is the function value on a_parts[i] x b_parts[j]
+    """A product grid: coeffs[i][j] is the function value on a_parts[i] x b_parts[j]."""
+
+    __slots__ = ("a_parts", "b_parts", "coeffs")
+
+    def __init__(self, a_parts: tuple, b_parts: tuple, coeffs: tuple):
+        self.a_parts = a_parts
+        self.b_parts = b_parts
+        self.coeffs = coeffs
 
 
 def _product_grid(f: SimpleFunction) -> _Grid:
@@ -313,7 +318,6 @@ ALL_EQUAL = "all-equal"
 HYPOTHESIS_VIOLATED = "hypothesis-violated"
 
 
-@dataclass(frozen=True)
 class IntegralReport:
     """The product integral and both iterated integrals, plus a verdict.
 
@@ -321,11 +325,39 @@ class IntegralReport:
     None when a diagnostic difference is of the undefined form inf - inf.
     """
 
-    product_value: Value
-    iterated_sv: Value
-    iterated_ts: Value
-    verdict: str
-    reason: Optional[str] = None
+    __slots__ = ("product_value", "iterated_sv", "iterated_ts", "verdict", "reason")
+
+    def __init__(
+        self,
+        product_value: Value,
+        iterated_sv: Value,
+        iterated_ts: Value,
+        verdict: str,
+        reason: Optional[str] = None,
+    ):
+        object.__setattr__(self, "product_value", product_value)
+        object.__setattr__(self, "iterated_sv", iterated_sv)
+        object.__setattr__(self, "iterated_ts", iterated_ts)
+        object.__setattr__(self, "verdict", verdict)
+        object.__setattr__(self, "reason", reason)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("IntegralReport is immutable")
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, IntegralReport):
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        body = ", ".join(f"{n}={getattr(self, n)!r}" for n in self.__slots__)
+        return f"IntegralReport({body})"
 
     @property
     def all_equal(self) -> bool:

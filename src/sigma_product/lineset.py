@@ -17,11 +17,12 @@ and represents single-point gaps as punctures of one merged interval.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, List, Optional, Sequence, Tuple
 
+from sigma_product.errors import SizeLimit
 from sigma_product.extreal import render_rational
+from sigma_product.sigma import size_limit
 
 
 def _gcd_fractions(a: Fraction, b: Fraction) -> Fraction:
@@ -44,25 +45,49 @@ def _fmod(x: Fraction, period: Fraction) -> Fraction:
 # Intervals
 
 
-@dataclass(frozen=True)
 class Interval:
     """A nonempty real interval; ``None`` endpoints are unbounded (and open)."""
 
-    lo: Optional[Fraction]
-    hi: Optional[Fraction]
-    lo_open: bool
-    hi_open: bool
+    __slots__ = ("lo", "hi", "lo_open", "hi_open")
 
-    def __post_init__(self):
-        if self.lo is None and not self.lo_open:
+    def __init__(
+        self, lo: Optional[Fraction], hi: Optional[Fraction], lo_open: bool, hi_open: bool
+    ):
+        if lo is None and not lo_open:
             raise ValueError("unbounded left endpoint must be open")
-        if self.hi is None and not self.hi_open:
+        if hi is None and not hi_open:
             raise ValueError("unbounded right endpoint must be open")
-        if self.lo is not None and self.hi is not None:
-            if self.lo > self.hi:
+        if lo is not None and hi is not None:
+            if lo > hi:
                 raise ValueError("empty interval")
-            if self.lo == self.hi and (self.lo_open or self.hi_open):
+            if lo == hi and (lo_open or hi_open):
                 raise ValueError("empty interval")
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
+        object.__setattr__(self, "lo_open", lo_open)
+        object.__setattr__(self, "hi_open", hi_open)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Interval is immutable")
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Interval):
+            return NotImplemented
+        return (
+            self.lo == other.lo
+            and self.hi == other.hi
+            and self.lo_open == other.lo_open
+            and self.hi_open == other.hi_open
+        )
+
+    def __hash__(self):
+        return hash((self.lo, self.hi, self.lo_open, self.hi_open))
+
+    def __repr__(self):
+        return (
+            f"Interval(lo={self.lo!r}, hi={self.hi!r}, "
+            f"lo_open={self.lo_open!r}, hi_open={self.hi_open!r})"
+        )
 
     @property
     def degenerate(self) -> bool:
@@ -216,16 +241,30 @@ def iu_complement(intervals: Sequence[Interval]) -> Tuple[Interval, ...]:
 # Progressions and countable parts
 
 
-@dataclass(frozen=True)
 class Progression:
     """The point set {base + k*step : k = 0, 1, 2, ...}, step > 0."""
 
-    base: Fraction
-    step: Fraction
+    __slots__ = ("base", "step")
 
-    def __post_init__(self):
-        if self.step <= 0:
+    def __init__(self, base: Fraction, step: Fraction):
+        if step <= 0:
             raise ValueError("progression step must be positive")
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "step", step)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Progression is immutable")
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Progression):
+            return NotImplemented
+        return self.base == other.base and self.step == other.step
+
+    def __hash__(self):
+        return hash((self.base, self.step))
+
+    def __repr__(self):
+        return f"Progression(base={self.base!r}, step={self.step!r})"
 
     def member(self, x: Fraction) -> bool:
         k = (x - self.base) / self.step
@@ -307,11 +346,17 @@ class CountablePart:
         return any(g.member(x) for g in self.progressions)
 
     def union(self, other: CountablePart) -> CountablePart:
+        if other.is_empty:
+            return self
+        if self.is_empty:
+            return other
         return canonical_countable(
             self.points + other.points, self.progressions + other.progressions
         )
 
     def intersect(self, other: CountablePart) -> CountablePart:
+        if self.is_empty or other.is_empty:
+            return EMPTY_COUNTABLE
         pts = [p for p in self.points if other.member(p)]
         pts += [p for p in other.points if self.member(p)]
         progs = []
@@ -323,6 +368,8 @@ class CountablePart:
         return canonical_countable(pts, progs)
 
     def diff(self, other: CountablePart) -> CountablePart:
+        if self.is_empty or other.is_empty:
+            return self
         pts = [p for p in self.points if not other.member(p)]
         progs: List[Progression] = []
         for g in self.progressions:
@@ -332,6 +379,10 @@ class CountablePart:
         return canonical_countable(pts, progs)
 
     def meet_intervals(self, intervals: Sequence[Interval]) -> CountablePart:
+        if not intervals:
+            return EMPTY_COUNTABLE
+        if self.is_empty:
+            return self
         pts = [p for p in self.points if iu_contains(intervals, p)]
         progs: List[Progression] = []
         for g in self.progressions:
@@ -421,15 +472,24 @@ def canonical_countable(
     progs = list(progressions)
     if not progs:
         return CountablePart(tuple(sorted(pset)), ())
+    if not pset and len(progs) == 1:
+        return CountablePart((), (progs[0],))
 
     period = progs[0].step
     for g in progs[1:]:
         period = _lcm_fractions(period, g.step)
+    classes = [int(period / g.step) for g in progs]
+    bound = size_limit()
+    if sum(classes) > bound:
+        raise SizeLimit(
+            f"progressions would expand into {sum(classes)} residue classes "
+            f"(limit {bound})"
+        )
 
     # Minimal base of each residue class (mod the joint period) with a tail.
     bases: dict[Fraction, Fraction] = {}
-    for g in progs:
-        for j in range(int(period / g.step)):
+    for g, count in zip(progs, classes):
+        for j in range(count):
             x = g.term(j)
             r = _fmod(x, period)
             if r not in bases or x < bases[r]:
@@ -500,10 +560,26 @@ def _merge_coset(
 # Real-line sets
 
 
-@dataclass(frozen=True)
 class Cardinality:
-    kind: str
-    count: Optional[int] = None
+    __slots__ = ("kind", "count")
+
+    def __init__(self, kind: str, count: Optional[int] = None):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "count", count)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Cardinality is immutable")
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Cardinality):
+            return NotImplemented
+        return self.kind == other.kind and self.count == other.count
+
+    def __hash__(self):
+        return hash((self.kind, self.count))
+
+    def __repr__(self):
+        return f"Cardinality(kind={self.kind!r}, count={self.count!r})"
 
     @staticmethod
     def finite(n: int) -> "Cardinality":
@@ -612,10 +688,6 @@ class RealSet:
             total += piece
         return total
 
-    def countable_members(self) -> CountablePart:
-        """The members outside the interval part."""
-        return self.included
-
     def meet_countable(self, cp: CountablePart) -> CountablePart:
         """cp intersected with this set, as a countable part."""
         inside = cp.meet_intervals(self.intervals).diff(self.excluded)
@@ -625,7 +697,23 @@ class RealSet:
     # -- boolean algebra
 
     def complement(self) -> "RealSet":
-        return RealSet(iu_complement(self.intervals), self.included, self.excluded)
+        """The complement, built without canonicalization.
+
+        A canonical set has nondegenerate intervals that neither touch nor
+        leave a one-point gap between them, excluded points strictly inside
+        them and included points outside their closures.  Its complement's
+        intervals are the gaps between them: each gap is nondegenerate (a
+        one-point gap would have been merged into a puncture) and
+        consecutive gaps are separated by a nondegenerate interval, so they
+        neither touch nor leave a one-point gap.  The old included points
+        lie outside the old closures, which is inside the gaps, and the old
+        excluded points lie inside the old intervals, which is outside the
+        gaps' closures.  Swapping the countable parts thus meets every
+        condition of the normal form, which is unique.
+        """
+        return RealSet(
+            iu_complement(self.intervals), self.included, self.excluded, _canonical=True
+        )
 
     def __and__(self, other: "RealSet") -> "RealSet":
         if not isinstance(other, RealSet):

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from enum import Enum
 from fractions import Fraction
-from typing import Dict, Iterable, Tuple, Union
+from typing import Dict, Iterable, Tuple, TypeAlias, Union
 
 from sigma_product.errors import NotMeasurable, PropertyViolated, UniverseMismatch
 from sigma_product.extreal import (
@@ -181,7 +181,9 @@ class GeometricWeights:
         return f"geometric({render_rational(self.first)}, {render_rational(self.ratio)})"
 
 
-WeightRule = Union[ConstantWeights, GeometricWeights]
+# A string: typing's subscription cache would keep these classes, and every
+# purged copy of the package with them, alive.
+WeightRule: TypeAlias = "Union[ConstantWeights, GeometricWeights]"
 
 
 class CountableAtomic(Measure):

@@ -9,7 +9,7 @@ extended-real carrier is reused.  Intended for tests.
 from __future__ import annotations
 
 from itertools import chain, combinations
-from typing import Dict, FrozenSet, Iterable, List, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Sequence, Tuple, TypeAlias
 
 from sigma_product.errors import SizeLimit
 from sigma_product.extreal import INF, ZERO, ExtNonNeg
@@ -53,7 +53,9 @@ def oracle_sigma_closure(
             raise SizeLimit(f"oracle closure exceeded {limit} members")
 
 
-Weights = Dict[object, ExtNonNeg]
+# A string: typing's subscription cache would keep these classes, and every
+# purged copy of the package with them, alive.
+Weights: TypeAlias = "Dict[object, ExtNonNeg]"
 
 
 def _finite_rectangles(mu: Weights, nu: Weights) -> List[FrozenSet]:

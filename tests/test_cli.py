@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from sigma_product import cli
 from sigma_product.cli import (
     Resolver,
     parse_spec,
@@ -41,6 +42,8 @@ EXIT_CODES = {
     "20_parse_error": 2,
     "21_name_error": 2,
     "22_integrate_counting_points": 0,
+    "23_integrate_named_fn": 0,
+    "24_fubini_named_fn": 0,
 }
 
 
@@ -118,6 +121,29 @@ class TestEntrypoint:
         )
         assert proc.returncode == 0
         assert proc.stdout == (GOLDEN / "10_product_finite.out").read_text()
+
+    def test_undecodable_file_is_an_io_error(self, tmp_path):
+        spec = tmp_path / "latin1.spec"
+        spec.write_bytes(b"measure L = lebesgue\n# caf\xe9\ncmd eval L [0, 1]\n")
+        out, code = run_capture(spec)
+        assert code == 2
+        assert out.startswith("error: io:")
+
+    def test_unexpected_exception_is_an_internal_error(self, monkeypatch, capsys):
+        def broken(doc):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli, "run_document", broken)
+        spec = GOLDEN / "10_product_finite.spec"
+        out, code = run_capture(spec)
+        assert (out, code) == ("error: internal: boom\n", 2)
+        out, code = run_capture(spec, "json")
+        assert code == 2
+        assert json.loads(out) == {"error": {"kind": "internal", "message": "boom"}}
+        assert cli.main(["run", str(spec)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "error: internal: boom\n"
+        assert captured.err == ""
 
     def test_missing_file(self):
         buffer = io.StringIO()
@@ -255,6 +281,18 @@ class TestSizeLimitEnv:
         spec = tmp_path / "big.spec"
         spec.write_text(
             "measure T = tabulated{a: 1, b: 1, c: 1}\ncmd eval T {a}\n"
+        )
+        buffer = io.StringIO()
+        code = run_file(str(spec), "text", out=buffer)
+        assert code == 2
+        assert buffer.getvalue().startswith("error: size-limit:")
+
+    def test_env_var_bounds_progression_unions(self, monkeypatch, tmp_path):
+        monkeypatch.setenv("SIGMA_PRODUCT_SIZE_LIMIT", "5000")
+        spec = tmp_path / "coprime.spec"
+        spec.write_text(
+            "measure D = counting\n"
+            "cmd eval D prog(0, 61) | prog(0, 67) | prog(0, 71)\n"
         )
         buffer = io.StringIO()
         code = run_file(str(spec), "text", out=buffer)
