@@ -13,7 +13,6 @@ from sigma_product.errors import (
     NotSimpleTensor,
     ParseError,
     PropertyViolated,
-    RepresentationOverflow,
     SigmaProductError,
     SizeLimit,
     UniverseMismatch,
@@ -96,7 +95,6 @@ __all__ = [
     "Rational",
     "RealSet",
     "RectUnion",
-    "RepresentationOverflow",
     "SigmaFiniteComponent",
     "SigmaProductError",
     "SigmaRingFin",

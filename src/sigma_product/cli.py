@@ -796,10 +796,8 @@ def run_document(doc: SpecDocument) -> Tuple[List[Tuple[str, str]], int]:
         right = resolver.measure(cmd.args[1])
         pm = ProductMeasure(left, right)
         u = resolver.rect_union(cmd.args[2], left, right)
-        return [
-            ("value", str(pm.measure(u))),
-            ("class", pm.set_class(u).render()),
-        ], 0
+        value, cls = pm.evaluate(u)
+        return [("value", str(value)), ("class", cls.render())], 0
     if cmd.name == "integrate":
         measure = resolver.measure(cmd.args[0])
         f = resolver.line_fn(cmd.args[1], measure)

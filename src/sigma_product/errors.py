@@ -33,16 +33,6 @@ class SizeLimit(SigmaProductError):
     kind = "size-limit"
 
 
-class RepresentationOverflow(SigmaProductError):
-    """A set operation left the representable normal form.
-
-    Cannot happen for finite boolean combinations of valid inputs; raised
-    only as an internal guard.
-    """
-
-    kind = "representation-overflow"
-
-
 class PropertyViolated(SigmaProductError):
     """A pair of sigma-rings lacks the simple extension property."""
 

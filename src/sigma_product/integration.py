@@ -16,7 +16,7 @@ from sigma_product.errors import (
     NotSimpleTensor,
     UniverseMismatch,
 )
-from sigma_product.extreal import INF, ZERO, ExtNonNeg, render_rational
+from sigma_product.extreal import INF, ZERO, ExtNonNeg, ext_sum, render_rational
 from sigma_product.finset import FinSet
 from sigma_product.lineset import RealSet
 from sigma_product.measures import (
@@ -24,8 +24,13 @@ from sigma_product.measures import (
     NOT_SIGMA_FINITE,
     Measure,
 )
-from sigma_product.product import ProductMeasure
-from sigma_product.rectset import RectUnion, refine_parts, set_member, universe_of
+from sigma_product.rectset import (
+    RectUnion,
+    rect_grid,
+    refine_parts,
+    set_member,
+    universe_of,
+)
 
 class _NegativeInfinity:
     """Sentinel for diagnostic values of the form finite - infinity."""
@@ -59,7 +64,6 @@ class SimpleFunction:
         terms: Sequence[Tuple[Fraction, object]],
         universe: Optional[tuple] = None,
     ):
-        sets = []
         for _, s in terms:
             u = universe_of(s)
             if universe is None:
@@ -68,7 +72,6 @@ class SimpleFunction:
                 isinstance(s, RectUnion) and s.is_empty
             ):
                 raise UniverseMismatch("simple-function terms over mixed universes")
-            sets.append(s)
         canonical = _level_sets([(Fraction(c), s) for c, s in terms])
         object.__setattr__(self, "terms", canonical)
         object.__setattr__(self, "universe", universe)
@@ -132,14 +135,6 @@ class SimpleFunction:
             raise ValueError("clamp bound must be nonnegative")
         return SimpleFunction(
             [(min(c, bound), s) for c, s in self.terms], self.universe
-        )
-
-    def positive_part(self) -> "SimpleFunction":
-        return SimpleFunction([(c, s) for c, s in self.terms if c > 0], self.universe)
-
-    def negative_part(self) -> "SimpleFunction":
-        return SimpleFunction(
-            [(-c, s) for c, s in self.terms if c < 0], self.universe
         )
 
     def __eq__(self, other) -> bool:
@@ -235,37 +230,25 @@ def _check_function_universe(f: SimpleFunction, m: Measure) -> None:
 
 
 class _Grid:
-    """A product grid: coeffs[i][j] is the function value on a_parts[i] x b_parts[j]."""
+    """A product grid: cells lists ``(i, j, c)`` for each cell
+    a_parts[i] x b_parts[j] where the function takes the nonzero value c."""
 
-    __slots__ = ("a_parts", "b_parts", "coeffs")
+    __slots__ = ("a_parts", "b_parts", "cells")
 
-    def __init__(self, a_parts: tuple, b_parts: tuple, coeffs: tuple):
+    def __init__(self, a_parts: list, b_parts: list, cells: tuple):
         self.a_parts = a_parts
         self.b_parts = b_parts
-        self.coeffs = coeffs
+        self.cells = cells
 
 
 def _product_grid(f: SimpleFunction) -> _Grid:
-    rect_list = [rect for _, ru in f.terms for rect in ru.rects]
-    if not rect_list:
-        return _Grid((), (), ())
-    a_parts = tuple(refine_parts([a for a, _ in rect_list]))
-    b_parts = tuple(refine_parts([b for _, b in rect_list]))
-    coeffs = []
-    for a in a_parts:
-        row = []
-        for b in b_parts:
-            value = Fraction(0)
-            for c, ru in f.terms:
-                inside = any(
-                    (a - ra).is_empty and (b - rb).is_empty for ra, rb in ru.rects
-                )
-                if inside:
-                    value = c
-                    break
-            row.append(value)
-        coeffs.append(tuple(row))
-    return _Grid(a_parts, b_parts, tuple(coeffs))
+    rects, coeffs = [], []
+    for c, ru in f.terms:
+        for rect in ru.rects:
+            rects.append(rect)
+            coeffs.append(c)
+    a_parts, b_parts, cover = rect_grid(rects)
+    return _Grid(a_parts, b_parts, tuple((i, j, coeffs[k]) for i, j, k in cover))
 
 
 def tensor_functional(f: SimpleFunction, mu: Measure, nu: Measure) -> Fraction:
@@ -276,30 +259,11 @@ def tensor_functional(f: SimpleFunction, mu: Measure, nu: Measure) -> Fraction:
     grid = _product_grid(f)
     mu_vals = [mu.measure(a) for a in grid.a_parts]
     nu_vals = [nu.measure(b) for b in grid.b_parts]
-    for i, a in enumerate(grid.a_parts):
-        for j, b in enumerate(grid.b_parts):
-            if grid.coeffs[i][j] == 0:
-                continue
-            if not (mu_vals[i].is_finite and nu_vals[j].is_finite):
-                raise NotSimpleTensor(
-                    "a rectangle side has infinite measure"
-                )
-    direct = Fraction(0)
-    for i in range(len(grid.a_parts)):
-        for j in range(len(grid.b_parts)):
-            direct += grid.coeffs[i][j] * mu_vals[i].finite * nu_vals[j].finite
-    by_rows = Fraction(0)
-    for i in range(len(grid.a_parts)):
-        inner = Fraction(0)
-        for j in range(len(grid.b_parts)):
-            inner += grid.coeffs[i][j] * nu_vals[j].finite
-        by_rows += mu_vals[i].finite * inner
-    by_cols = Fraction(0)
-    for j in range(len(grid.b_parts)):
-        inner = Fraction(0)
-        for i in range(len(grid.a_parts)):
-            inner += grid.coeffs[i][j] * mu_vals[i].finite
-        by_cols += nu_vals[j].finite * inner
+    for i, j, _ in grid.cells:
+        if not (mu_vals[i].is_finite and nu_vals[j].is_finite):
+            raise NotSimpleTensor("a rectangle side has infinite measure")
+    cell_values = [mu_vals[i] * nu_vals[j] for i, j, _ in grid.cells]
+    direct, by_rows, by_cols = _fubini_signed(grid, mu_vals, nu_vals, cell_values)
     assert direct == by_rows == by_cols, "slicing orders disagree"
     return direct
 
@@ -398,37 +362,26 @@ def fubini_check(f: SimpleFunction, mu: Measure, nu: Measure) -> IntegralReport:
     the values may then genuinely disagree.
     """
     _check_product_universe(f, mu, nu)
-    pm = ProductMeasure(mu, nu)
     grid = _product_grid(f)
     mu_vals = [mu.measure(a) for a in grid.a_parts]
     nu_vals = [nu.measure(b) for b in grid.b_parts]
-    mu_cls = [mu.finiteness(a) for a in grid.a_parts]
-    nu_cls = [nu.finiteness(b) for b in grid.b_parts]
+    mu_nsf = [mu.finiteness(a) is NOT_SIGMA_FINITE for a in grid.a_parts]
+    nu_nsf = [nu.finiteness(b) is NOT_SIGMA_FINITE for b in grid.b_parts]
 
-    cell_values: List[List[ExtNonNeg]] = []
-    sigma_finite_support = True
-    integrable = True
-    for i in range(len(grid.a_parts)):
-        row = []
-        for j in range(len(grid.b_parts)):
-            if mu_cls[i] is NOT_SIGMA_FINITE or nu_cls[j] is NOT_SIGMA_FINITE:
-                value = INF
-                if grid.coeffs[i][j] != 0:
-                    sigma_finite_support = False
-            else:
-                value = mu_vals[i] * nu_vals[j]
-            if grid.coeffs[i][j] != 0 and not value.is_finite:
-                integrable = False
-            row.append(value)
-        cell_values.append(row)
+    # A cell with a non-sigma-finite side has product measure infinity.
+    sigma_finite_support = not any(mu_nsf[i] or nu_nsf[j] for i, j, _ in grid.cells)
+    cell_values = [
+        INF if mu_nsf[i] or nu_nsf[j] else mu_vals[i] * nu_vals[j]
+        for i, j, _ in grid.cells
+    ]
 
-    if integrable:
+    if all(v.is_finite for v in cell_values):
         product, sv, ts = _fubini_signed(grid, mu_vals, nu_vals, cell_values)
         assert _values_agree([product, sv, ts]), "Fubini identity failed"
         return IntegralReport(product, sv, ts, ALL_EQUAL)
 
     if f.nonnegative and sigma_finite_support:
-        product, sv, ts = _tonelli_extended(grid, mu_vals, nu_vals, cell_values)
+        product, sv, ts = _tonelli_extended(grid, mu_vals, nu_vals, cell_values, 1)
         assert _values_agree([product, sv, ts]), "Tonelli identity failed"
         return IntegralReport(product, sv, ts, ALL_EQUAL)
 
@@ -436,30 +389,10 @@ def fubini_check(f: SimpleFunction, mu: Measure, nu: Measure) -> IntegralReport:
         reason = "integrand is signed but not integrable"
     else:
         reason = "support is not sigma-finite"
-    pos = f.positive_part()
-    neg = f.negative_part()
-    p_vals = _tonelli_extended(*_grid_bundle(pos, mu, nu))
-    n_vals = _tonelli_extended(*_grid_bundle(neg, mu, nu))
+    p_vals = _tonelli_extended(grid, mu_vals, nu_vals, cell_values, 1)
+    n_vals = _tonelli_extended(grid, mu_vals, nu_vals, cell_values, -1)
     diag = tuple(_ext_sub(p, n) for p, n in zip(p_vals, n_vals))
     return IntegralReport(diag[0], diag[1], diag[2], HYPOTHESIS_VIOLATED, reason)
-
-
-def _grid_bundle(f: SimpleFunction, mu: Measure, nu: Measure):
-    grid = _product_grid(f)
-    mu_vals = [mu.measure(a) for a in grid.a_parts]
-    nu_vals = [nu.measure(b) for b in grid.b_parts]
-    mu_cls = [mu.finiteness(a) for a in grid.a_parts]
-    nu_cls = [nu.finiteness(b) for b in grid.b_parts]
-    cell_values = []
-    for i in range(len(grid.a_parts)):
-        row = []
-        for j in range(len(grid.b_parts)):
-            if mu_cls[i] is NOT_SIGMA_FINITE or nu_cls[j] is NOT_SIGMA_FINITE:
-                row.append(INF)
-            else:
-                row.append(mu_vals[i] * nu_vals[j])
-        cell_values.append(row)
-    return grid, mu_vals, nu_vals, cell_values
 
 
 def _ext_sub(p: ExtNonNeg, n: ExtNonNeg) -> Value:
@@ -473,76 +406,36 @@ def _ext_sub(p: ExtNonNeg, n: ExtNonNeg) -> Value:
 
 
 def _fubini_signed(grid, mu_vals, nu_vals, cell_values):
-    """All three integrals of an integrable signed grid, exactly."""
+    """All three integrals of an integrable signed grid, exactly: the sum
+    over cells, and the outer sums of the row and the column slices.  A
+    slice of a null row or column is skipped, since it may be infinite."""
     product = Fraction(0)
-    for i in range(len(grid.a_parts)):
-        for j in range(len(grid.b_parts)):
-            c = grid.coeffs[i][j]
-            if c == 0:
-                continue
-            product += c * cell_values[i][j].finite
-
-    by_rows = Fraction(0)
-    for i in range(len(grid.a_parts)):
-        if mu_vals[i].is_zero:
-            continue
-        inner = Fraction(0)
-        infinite_inner = False
-        for j in range(len(grid.b_parts)):
-            c = grid.coeffs[i][j]
-            if c == 0:
-                continue
-            assert nu_vals[j].is_finite, "integrable row with infinite slice"
-            inner += c * nu_vals[j].finite
-        if inner == 0:
-            continue
-        assert mu_vals[i].is_finite, "nonzero slice on an infinite-measure cell"
-        by_rows += mu_vals[i].finite * inner
-
-    by_cols = Fraction(0)
-    for j in range(len(grid.b_parts)):
-        if nu_vals[j].is_zero:
-            continue
-        inner = Fraction(0)
-        for i in range(len(grid.a_parts)):
-            c = grid.coeffs[i][j]
-            if c == 0:
-                continue
-            assert mu_vals[i].is_finite, "integrable column with infinite slice"
-            inner += c * mu_vals[i].finite
-        if inner == 0:
-            continue
-        assert nu_vals[j].is_finite, "nonzero slice on an infinite-measure cell"
-        by_cols += nu_vals[j].finite * inner
-
+    rows: dict[int, Fraction] = {}
+    cols: dict[int, Fraction] = {}
+    for (i, j, c), value in zip(grid.cells, cell_values):
+        product += c * value.finite
+        if not mu_vals[i].is_zero:
+            rows[i] = rows.get(i, 0) + c * nu_vals[j].finite
+        if not nu_vals[j].is_zero:
+            cols[j] = cols.get(j, 0) + c * mu_vals[i].finite
+    by_rows = sum((mu_vals[i].finite * s for i, s in rows.items() if s), Fraction(0))
+    by_cols = sum((nu_vals[j].finite * s for j, s in cols.items() if s), Fraction(0))
     return product, by_rows, by_cols
 
 
-def _tonelli_extended(grid, mu_vals, nu_vals, cell_values):
-    """All three integrals of a nonnegative grid in [0, inf]."""
+def _tonelli_extended(grid, mu_vals, nu_vals, cell_values, sign):
+    """All three integrals in [0, inf] of the part of the grid whose
+    coefficients have the given sign (1 or -1), taken by magnitude."""
     product = ZERO
-    for i in range(len(grid.a_parts)):
-        for j in range(len(grid.b_parts)):
-            c = grid.coeffs[i][j]
-            if c != 0:
-                product = product + ExtNonNeg(c) * cell_values[i][j]
-
-    by_rows = ZERO
-    for i in range(len(grid.a_parts)):
-        inner = ZERO
-        for j in range(len(grid.b_parts)):
-            c = grid.coeffs[i][j]
-            if c != 0:
-                inner = inner + ExtNonNeg(c) * nu_vals[j]
-        by_rows = by_rows + mu_vals[i] * inner
-
-    by_cols = ZERO
-    for j in range(len(grid.b_parts)):
-        inner = ZERO
-        for i in range(len(grid.a_parts)):
-            c = grid.coeffs[i][j]
-            if c != 0:
-                inner = inner + ExtNonNeg(c) * mu_vals[i]
-        by_cols = by_cols + nu_vals[j] * inner
-
+    rows: dict[int, ExtNonNeg] = {}
+    cols: dict[int, ExtNonNeg] = {}
+    for (i, j, c), value in zip(grid.cells, cell_values):
+        if c * sign < 0:
+            continue
+        w = ExtNonNeg(c * sign)
+        product = product + w * value
+        rows[i] = rows.get(i, ZERO) + w * nu_vals[j]
+        cols[j] = cols.get(j, ZERO) + w * mu_vals[i]
+    by_rows = ext_sum(mu_vals[i] * s for i, s in rows.items())
+    by_cols = ext_sum(nu_vals[j] * s for j, s in cols.items())
     return product, by_rows, by_cols

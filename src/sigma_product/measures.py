@@ -17,6 +17,7 @@ from sigma_product.extreal import (
     INF,
     ZERO,
     ExtNonNeg,
+    Geometric,
     render_rational,
 )
 from sigma_product.finset import FinSet
@@ -249,14 +250,10 @@ class CountableAtomic(Measure):
             if idx_progs:
                 return rule.weight * INF
             return rule.weight * ExtNonNeg(len(idx_points))
-        total = Fraction(0)
-        for k in idx_points:
-            total += rule.first * rule.ratio**k
+        series = Geometric(rule.first, rule.ratio)
+        total = sum(series.term(k) for k in idx_points)
         for k0, t in idx_progs:
-            if rule.ratio == 0:
-                total += rule.first if k0 == 0 else Fraction(0)
-            else:
-                total += rule.first * rule.ratio**k0 / (1 - rule.ratio**t)
+            total += Geometric(series.term(k0), rule.ratio**t).total().finite
         return ExtNonNeg(total)
 
     def finiteness(self, a: RealSet) -> FinitenessClass:

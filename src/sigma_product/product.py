@@ -58,27 +58,28 @@ class ProductMeasure(Measure):
             return FINITE
         return SIGMA_FINITE_INFINITE
 
-    def measure(self, u: RectUnion) -> ExtNonNeg:
+    def evaluate(self, u: RectUnion) -> Tuple[ExtNonNeg, FinitenessClass]:
+        """The value and the finiteness class of a rectangle union, with
+        each rectangle classified once; the class is value-aware on the
+        sigma-finite side."""
         self.check_universe(u)
         rects = u.rects
         for a, b in rects:
             if self.rect_class(a, b) is NOT_SIGMA_FINITE:
-                return INF
+                return INF, NOT_SIGMA_FINITE
         total = ZERO
         for a, b in rects:
             total = total + self.left.measure(a) * self.right.measure(b)
-        return total
+        return total, FINITE if total.is_finite else SIGMA_FINITE_INFINITE
+
+    def measure(self, u: RectUnion) -> ExtNonNeg:
+        return self.evaluate(u)[0]
 
     def set_class(self, u: RectUnion) -> FinitenessClass:
-        """Classify a rectangle union; value-aware on the sigma-finite side."""
-        self.check_universe(u)
-        for a, b in u.rects:
-            if self.rect_class(a, b) is NOT_SIGMA_FINITE:
-                return NOT_SIGMA_FINITE
-        return FINITE if self.measure(u).is_finite else SIGMA_FINITE_INFINITE
+        return self.evaluate(u)[1]
 
     def finiteness(self, u: RectUnion) -> FinitenessClass:
-        return self.set_class(u)
+        return self.evaluate(u)[1]
 
     def render(self) -> str:
         return f"product({self.left.render()}, {self.right.render()})"

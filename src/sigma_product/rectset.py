@@ -138,22 +138,11 @@ class RectUnion:
 
     def __sub__(self, other: "RectUnion") -> "RectUnion":
         self._compatible(other)
-        pieces = list(self.rects)
-        for c, d in other.rects:
-            next_pieces = []
-            for a, b in pieces:
-                a_out = a - c
-                if not a_out.is_empty:
-                    next_pieces.append((a_out, b))
-                a_in = a & c
-                if a_in.is_empty:
-                    continue
-                b_out = b - d
-                if not b_out.is_empty:
-                    next_pieces.append((a_in, b_out))
-            pieces = next_pieces
         return RectUnion(
-            pieces, self.left_universe, self.right_universe, _canonical=True
+            _subtract(list(self.rects), other.rects),
+            self.left_universe,
+            self.right_universe,
+            _canonical=True,
         )
 
     def __or__(self, other: "RectUnion") -> "RectUnion":
@@ -188,43 +177,55 @@ def _render_side(s) -> str:
     return repr(s)
 
 
+def _subtract(pieces: List[Tuple[object, object]], rects) -> List[Tuple[object, object]]:
+    """The pieces minus each rectangle of rects in turn, as disjoint pieces."""
+    for c, d in rects:
+        next_pieces = []
+        for a, b in pieces:
+            a_out = a - c
+            if not a_out.is_empty:
+                next_pieces.append((a_out, b))
+            a_in = a & c
+            if a_in.is_empty:
+                continue
+            b_out = b - d
+            if not b_out.is_empty:
+                next_pieces.append((a_in, b_out))
+        pieces = next_pieces
+    return pieces
+
+
 def _disjoint_pieces(pieces: List[Tuple[object, object]]) -> List[Tuple[object, object]]:
     """Sequentially subtract earlier rectangles from later ones."""
     out: List[Tuple[object, object]] = []
     for a, b in pieces:
-        if a.is_empty or b.is_empty:
-            continue
-        todo = [(a, b)]
-        for c, d in out:
-            next_todo = []
-            for x, y in todo:
-                x_out = x - c
-                if not x_out.is_empty:
-                    next_todo.append((x_out, y))
-                x_in = x & c
-                if x_in.is_empty:
-                    continue
-                y_out = y - d
-                if not y_out.is_empty:
-                    next_todo.append((x_in, y_out))
-            todo = next_todo
-        out.extend(todo)
+        if not (a.is_empty or b.is_empty):
+            out.extend(_subtract([(a, b)], out))
     return out
+
+
+def rect_grid(rects: Sequence[Tuple[object, object]]):
+    """Refine the A-sides and the B-sides of rects into cells.
+
+    Returns ``(a_parts, b_parts, cover)``, where cover lists ``(i, j, k)``
+    for each cell ``a_parts[i] x b_parts[j]`` inside the union of rects,
+    with k the index of the first rectangle that contains the cell.
+    """
+    a_parts = refine_parts([a for a, _ in rects])
+    b_parts = refine_parts([b for _, b in rects])
+    cover = []
+    for i, a in enumerate(a_parts):
+        for j, b in enumerate(b_parts):
+            for k, (ra, rb) in enumerate(rects):
+                if (a - ra).is_empty and (b - rb).is_empty:
+                    cover.append((i, j, k))
+                    break
+    return a_parts, b_parts, cover
 
 
 def rect_disjointify(u: RectUnion) -> RectUnion:
     """Equal point set as a grid of disjoint rectangles, obtained by
     refining along every A-side and B-side boundary."""
-    if u.is_empty:
-        return u
-    a_parts = refine_parts([a for a, _ in u.rects])
-    b_parts = refine_parts([b for _, b in u.rects])
-    cells = []
-    for a in a_parts:
-        for b in b_parts:
-            covered = any(
-                (a - ra).is_empty and (b - rb).is_empty for ra, rb in u.rects
-            )
-            if covered:
-                cells.append((a, b))
+    a_parts, b_parts, cover = rect_grid(u.rects)
+    cells = [(a_parts[i], b_parts[j]) for i, j, _ in cover]
     return RectUnion(cells, u.left_universe, u.right_universe, _canonical=True)

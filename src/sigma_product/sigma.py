@@ -21,7 +21,15 @@ def size_limit(override: int | None = None) -> int:
     if override is not None:
         return override
     env = os.environ.get(SIZE_LIMIT_ENV)
-    return int(env) if env else DEFAULT_SIZE_LIMIT
+    if not env:
+        return DEFAULT_SIZE_LIMIT
+    try:
+        value = int(env)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise SizeLimit(f"{SIZE_LIMIT_ENV} must be a positive integer, got {env!r}")
+    return value
 
 
 class SigmaRingFin:

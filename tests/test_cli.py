@@ -44,6 +44,9 @@ EXIT_CODES = {
     "22_integrate_counting_points": 0,
     "23_integrate_named_fn": 0,
     "24_fubini_named_fn": 0,
+    "25_fubini_violated_neg_inf": 1,
+    "26_fubini_violated_undefined": 1,
+    "27_fubini_violated_mixed": 1,
 }
 
 
@@ -298,6 +301,21 @@ class TestSizeLimitEnv:
         code = run_file(str(spec), "text", out=buffer)
         assert code == 2
         assert buffer.getvalue().startswith("error: size-limit:")
+
+    @pytest.mark.parametrize("value", ["abc", "0", "-1"])
+    def test_bad_env_value_is_a_size_limit_error(self, monkeypatch, tmp_path, value):
+        monkeypatch.setenv("SIGMA_PRODUCT_SIZE_LIMIT", value)
+        spec = tmp_path / "ok.spec"
+        spec.write_text(
+            "measure T = tabulated{a: 1, b: 1, c: 1}\ncmd eval T {a}\n"
+        )
+        buffer = io.StringIO()
+        code = run_file(str(spec), "text", out=buffer)
+        assert code == 2
+        assert buffer.getvalue() == (
+            "error: size-limit: SIGMA_PRODUCT_SIZE_LIMIT must be a positive "
+            f"integer, got {value!r}\n"
+        )
 
     def test_default_is_generous(self, tmp_path):
         spec = tmp_path / "ok.spec"

@@ -339,6 +339,50 @@ class TestFubiniCheck:
                             if report.verdict == ALL_EQUAL:
                                 assert str(want[0]) == str(want[1]) == str(want[2])
 
+    def test_signed_grids_against_oracle_parts(self):
+        # oracle_fubini takes nonnegative coefficients, so a signed grid is
+        # checked against oracle(positive part) - oracle(negative part)
+        def ext_sub(p, n):
+            if p.is_finite and n.is_finite:
+                return render_value(p.finite - n.finite)
+            if p.is_finite:
+                return "-inf"
+            if n.is_finite:
+                return "inf"
+            return "undefined"
+
+        rng = random.Random(9)
+        values = [ZERO, ExtNonNeg(1), ExtNonNeg(2), INF]
+        for size in (2, 3):
+            for _ in range(150):
+                wmu = {f"a{k}": rng.choice(values) for k in range(size)}
+                wnu = {f"b{k}": rng.choice(values) for k in range(size)}
+                mu = FiniteTabulated.power_set(wmu)
+                nu = FiniteTabulated.power_set(wnu)
+                g1, g2 = mu.ring.ground, nu.ring.ground
+                coeffs = {(x, y): rng.randint(-2, 2) for x in g1 for y in g2}
+                f = SimpleFunction(
+                    [
+                        (F(c), RectUnion.of((FinSet.of(g1, [x]), FinSet.of(g2, [y]))))
+                        for (x, y), c in coeffs.items()
+                        if c
+                    ],
+                    ("prod", mu.universe, nu.universe),
+                )
+                pos = oracle_fubini(
+                    {k: ExtNonNeg(c) for k, c in coeffs.items() if c > 0}, wmu, wnu
+                )
+                neg = oracle_fubini(
+                    {k: ExtNonNeg(-c) for k, c in coeffs.items() if c < 0}, wmu, wnu
+                )
+                report = fubini_check(f, mu, nu)
+                got = tuple(
+                    render_value(v)
+                    for v in (report.product_value, report.iterated_sv, report.iterated_ts)
+                )
+                want = tuple(ext_sub(p, n) for p, n in zip(pos, neg))
+                assert got == want, (wmu, wnu, coeffs)
+
 
 class TestTensorExhaustiveFiniteGrounds:
     def test_all_orders_coincide_on_2x2_finite_weights(self):

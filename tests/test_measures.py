@@ -163,6 +163,13 @@ class TestCountableAtomic:
         assert m.measure(pts(0, 1)) == ExtNonNeg(F(3, 2))
         assert m.finiteness(RealSet.line()) is FINITE
 
+    def test_geometric_ratio_zero_weighs_only_the_first_point(self):
+        g = Progression(F(0), F(1))
+        m = CountableAtomic(progression_weights=[(g, GeometricWeights(F(3), F(0)))])
+        assert m.measure(pts(0)) == ExtNonNeg(3)
+        assert m.measure(prg(0, 2)) == ExtNonNeg(3)
+        assert m.measure(prg(1, 2)) == ZERO
+
     def test_constant_progression_weights(self):
         g = Progression(F(0), F(1))
         m = CountableAtomic(progression_weights=[(g, ConstantWeights(ExtNonNeg(1)))])

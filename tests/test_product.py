@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from sigma_product.errors import UniverseMismatch
+from sigma_product.errors import NotMeasurable, UniverseMismatch
 from sigma_product.extreal import INF, ZERO, ExtNonNeg
 from sigma_product.finset import FinSet
 from sigma_product.lineset import RealSet
@@ -23,6 +23,7 @@ from sigma_product.oracle import (
 )
 from sigma_product.product import ProductMeasure, finite_product_measure, product3_eval
 from sigma_product.rectset import RectUnion
+from sigma_product.sigma import generate_sigma_ring
 
 F = Fraction
 LEB = LebesgueLine()
@@ -129,6 +130,54 @@ class TestSetClassify:
         u = RectUnion.of((pts(5), prg(0, 1)))
         assert LXD.measure(u) == ZERO
         assert LXD.set_class(u) is FINITE
+
+
+class TestEvaluate:
+    def test_matches_measure_set_class_and_definition(self):
+        rng = random.Random(15)
+
+        def side():
+            a = rng.randint(-3, 3)
+            r = rng.random()
+            if r < 0.4:
+                return iv(a, a + rng.randint(0, 3))
+            if r < 0.7:
+                return pts(*rng.sample(range(-3, 4), rng.randint(1, 3)))
+            if r < 0.85:
+                return prg(a, rng.randint(1, 2))
+            return RealSet.line()
+
+        for left, right in ((LEB, CNT), (CNT, LEB), (CNT, CNT), (LEB, LEB)):
+            pm = ProductMeasure(left, right)
+            for _ in range(30):
+                u = RectUnion.of(*[(side(), side()) for _ in range(rng.randint(1, 3))])
+                got = pm.evaluate(u)
+                assert got == (pm.measure(u), pm.set_class(u))
+                assert got[1] is pm.finiteness(u)
+                # the definition, rectangle by rectangle
+                if any(pm.rect_class(a, b) is NOT_SIGMA_FINITE for a, b in u.rects):
+                    want = (INF, NOT_SIGMA_FINITE)
+                else:
+                    value = ZERO
+                    for a, b in u.rects:
+                        value = value + left.measure(a) * right.measure(b)
+                    want = (value, FINITE if value.is_finite else SIGMA_FINITE_INFINITE)
+                assert got == want, u
+
+    def test_stops_at_the_first_non_sigma_finite_rectangle(self):
+        g = ("a", "b")
+        ring = generate_sigma_ring(g, [FinSet.of(g, ["a", "b"])])
+        tab = FiniteTabulated(ring, {FinSet.of(g, ["a", "b"]): ExtNonNeg(1)})
+        pm = ProductMeasure(CNT, tab)
+        # {a} is outside the ring, so classifying the second rectangle fails
+        with pytest.raises(NotMeasurable):
+            pm.evaluate(RectUnion.of((pts(7), FinSet.of(g, ["a"]))))
+        u = RectUnion.of(
+            (iv(0, 1), FinSet.of(g, ["a", "b"])), (pts(7), FinSet.of(g, ["a"]))
+        )
+        assert pm.evaluate(u) == (INF, NOT_SIGMA_FINITE)
+        assert pm.measure(u) == INF
+        assert pm.set_class(u) is NOT_SIGMA_FINITE
 
 
 class TestAgainstOracle:
