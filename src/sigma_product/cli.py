@@ -853,9 +853,6 @@ def run_file(path: str, fmt: str = "text", out=None) -> int:
     except SigmaProductError as exc:
         out.write(format_error(getattr(exc, "kind", "error"), str(exc), fmt))
         return 2
-    except ValueError as exc:
-        out.write(format_error("error", str(exc), fmt))
-        return 2
     except Exception as exc:
         # A defect in the library: report it with a stable kind, never
         # as a traceback.

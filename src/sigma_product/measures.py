@@ -297,14 +297,9 @@ class FiniteTabulated(Measure):
         self.atoms = ring.atoms()
         weights: Dict[int, ExtNonNeg] = {}
         for atom in self.atoms:
-            matched = None
-            for key, w in atom_weights.items():
-                if key == atom:
-                    matched = ExtNonNeg.of(w)
-                    break
-            if matched is None:
+            if atom not in atom_weights:
                 raise ValueError(f"missing weight for atom {atom!r}")
-            weights[atom.mask] = matched
+            weights[atom.mask] = ExtNonNeg.of(atom_weights[atom])
         if len(atom_weights) != len(self.atoms):
             raise ValueError("weights given for sets that are not atoms")
         self._weights = weights

@@ -107,23 +107,14 @@ def finite_product_measure(
     mu: FiniteTabulated, nu: FiniteTabulated, limit: int | None = None
 ) -> FiniteTabulated:
     """The product measure on the product sigma-ring of two tabulated
-    measures, as atom weights."""
+    measures, as atom weights: each product atom is one cell a x b."""
     ring = product_sigma_ring(mu.ring, nu.ring, limit)
-    cells: Dict[int, ExtNonNeg] = {}
+    weights: Dict[FinSet, ExtNonNeg] = {}
     for a in mu.atoms:
         wa = mu.atom_weight(a)
         for b in nu.atoms:
-            cell = product_set(a, b, ring.ground)
-            value = wa * nu.atom_weight(b)
-            if not wa.is_finite or not nu.atom_weight(b).is_finite:
-                # nonempty rectangle with a non-sigma-finite side
-                value = INF
-            cells[cell.mask] = value
-    weights: Dict[FinSet, ExtNonNeg] = {}
-    for atom in ring.atoms():
-        total = ZERO
-        for mask, value in cells.items():
-            if mask & atom.mask:
-                total = total + value
-        weights[atom] = total
+            wb = nu.atom_weight(b)
+            # a nonempty rectangle with a non-sigma-finite side gets INF
+            finite = wa.is_finite and wb.is_finite
+            weights[product_set(a, b, ring.ground)] = wa * wb if finite else INF
     return FiniteTabulated(ring, weights)

@@ -3,11 +3,17 @@
 On a finite ground, closure under countable unions collapses to closure
 under pairwise unions, so a sigma-ring can be generated by a worklist
 fixed point over (union, difference) pairs and stored exhaustively.
+A ring is exactly the set of unions of its atoms, so a product ring needs
+no closure: it is the set of unions of the products of the factors'
+atoms, and its size limit is checked from 2^atoms before any work.
 """
 
 from __future__ import annotations
 
 import os
+from functools import reduce
+from math import prod
+from operator import or_
 from typing import Iterable, List, Sequence
 
 from sigma_product.errors import SizeLimit
@@ -45,10 +51,13 @@ class SigmaRingFin:
         ground = tuple(ground)
         members = frozenset(members) | {0}
         if check:
-            for a in members:
-                for b in members:
-                    if a | b not in members or a & ~b not in members:
-                        raise ValueError("family is not closed under union/difference")
+            # A ring is the set of all unions of its atoms, which are disjoint
+            # (adding them makes no carries): 2^atoms members, each a union.
+            atoms = _scan_atoms(members)
+            disjoint = sum(atoms) == reduce(or_, atoms, 0)
+            if not (disjoint and len(members) == 1 << len(atoms)
+                    and members.issuperset(_unions(atoms))):
+                raise ValueError("family is not closed under union/difference")
         object.__setattr__(self, "ground", ground)
         object.__setattr__(self, "members", members)
         object.__setattr__(self, "_atoms", None)
@@ -86,27 +95,36 @@ class SigmaRingFin:
     def atoms(self) -> List[FinSet]:
         """Minimal nonempty members; every member is a disjoint union of them."""
         if self._atoms is None:
-            union = 0
-            for m in self.members:
-                union |= m
-            found: List[int] = []
-            for i in range(len(self.ground)):
-                if not union >> i & 1:
-                    continue
-                atom = union
-                for m in self.members:
-                    if m >> i & 1:
-                        atom &= m
-                if atom not in found:
-                    found.append(atom)
-            found.sort()
-            object.__setattr__(
-                self, "_atoms", tuple(FinSet(self.ground, m) for m in found)
-            )
+            found = tuple(FinSet(self.ground, m) for m in _scan_atoms(self.members))
+            object.__setattr__(self, "_atoms", found)
         return list(self._atoms)
 
     def __repr__(self) -> str:
         return f"SigmaRingFin(|ground|={len(self.ground)}, members={len(self.members)})"
+
+
+def _scan_atoms(members: frozenset[int]) -> List[int]:
+    """For each point not yet covered, the intersection of the members
+    holding it, sorted by mask.  On a ring these are its atoms."""
+    union = rest = reduce(or_, members, 0)
+    found: List[int] = []
+    while rest:
+        point = rest & -rest
+        atom = union
+        for m in members:
+            if m & point:
+                atom &= m
+        found.append(atom)
+        rest &= ~atom
+    return sorted(found)
+
+
+def _unions(atoms: Sequence[int]) -> List[int]:
+    """Every union of the given masks, the empty one included."""
+    out = [0]
+    for a in atoms:
+        out += [m | a for m in out]
+    return out
 
 
 def _close(ground: Ground, masks: Iterable[int], limit: int | None) -> frozenset[int]:
@@ -174,22 +192,25 @@ def product_sigma_ring_n(
     """n-fold product generated by n-dimensional rectangles.
 
     The product ground is built left-associatively, pairing labels, so
-    that iterated binary products land on the same ground.
+    that iterated binary products land on the same ground.  The ring is
+    the set of unions of the products a1 x ... x an of the factors' atoms;
+    it has 2^atoms members, and the size limit is checked from that count
+    before anything is built.
     """
     if not rings:
         raise ValueError("need at least one ring")
-    ground = rings[0].ground
-    rects = set(rings[0].members)
-    for ring in rings[1:]:
-        new_ground = product_ground(ground, ring.ground)
-        new_rects = set()
-        for a in rects:
-            fa = FinSet(ground, a)
-            for b in ring.members:
-                fb = FinSet(ring.ground, b)
-                new_rects.add(product_set(fa, fb, new_ground).mask)
-        ground, rects = new_ground, new_rects
-    return SigmaRingFin(ground, _close(ground, rects, limit), check=False)
+    factor_atoms = [ring.atoms() for ring in rings]
+    bound = size_limit(limit)
+    if 1 << prod(map(len, factor_atoms)) > bound:
+        raise SizeLimit(f"sigma-ring would exceed {bound} members")
+    ground, atoms = rings[0].ground, factor_atoms[0]
+    for ring, right in zip(rings[1:], factor_atoms[1:]):
+        ground = product_ground(ground, ring.ground)
+        atoms = [product_set(a, b, ground) for a in atoms for b in right]
+    atoms.sort(key=lambda a: a.mask)
+    ring = SigmaRingFin(ground, _unions([a.mask for a in atoms]), check=False)
+    object.__setattr__(ring, "_atoms", tuple(atoms))
+    return ring
 
 
 def has_simple_extension_property(outer: SigmaRingFin, inner: SigmaRingFin) -> bool:
@@ -197,12 +218,8 @@ def has_simple_extension_property(outer: SigmaRingFin, inner: SigmaRingFin) -> b
     every outer member contained in some inner member is itself inner."""
     if outer.ground != inner.ground:
         raise ValueError("rings over different grounds")
-    if not inner.members <= outer.members:
-        return False
-    for a in outer.members:
-        if a in inner.members:
-            continue
-        for b in inner.members:
-            if a & ~b == 0:
-                return False
-    return True
+    # inner is closed under union: a set lies in some inner member iff in their union
+    top = reduce(or_, inner.members, 0)
+    return inner.members <= outer.members and all(
+        a in inner.members for a in outer.members if a & ~top == 0
+    )

@@ -148,6 +148,21 @@ class TestEntrypoint:
         assert captured.out == "error: internal: boom\n"
         assert captured.err == ""
 
+    def test_stray_value_error_is_an_internal_error(self, monkeypatch):
+        def broken(doc):
+            raise ValueError("stray")
+
+        monkeypatch.setattr(cli, "run_document", broken)
+        spec = GOLDEN / "10_product_finite.spec"
+        assert run_capture(spec) == ("error: internal: stray\n", 2)
+        out, code = run_capture(spec, "json")
+        assert code == 2
+        assert json.loads(out) == {"error": {"kind": "internal", "message": "stray"}}
+
+    def test_no_golden_reports_kind_error(self):
+        for path in GOLDEN.glob("*.out"):
+            assert "error: error:" not in path.read_text(), path.name
+
     def test_missing_file(self):
         buffer = io.StringIO()
         code = run_file("/nonexistent/path.spec", "text", out=buffer)

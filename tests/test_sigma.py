@@ -251,6 +251,35 @@ class TestSimpleExtensionProperty:
         inner = generate_sigma_ring(g, [fs(g, 2)])
         assert not has_simple_extension_property(outer, inner)
 
+    def test_matches_definition_on_random_rings(self):
+        def by_definition(outer, inner):
+            if not inner.members <= outer.members:
+                return False
+            return all(
+                a in inner.members
+                for a in outer.members
+                if any(a & ~b == 0 for b in inner.members)
+            )
+
+        rng = random.Random(41)
+        seen = set()
+        for _ in range(400):
+            n = rng.randint(1, 5)
+            ground = tuple(range(n))
+            outer = generate_sigma_ring(
+                ground, [FinSet(ground, rng.randrange(1 << n)) for _ in range(3)]
+            )
+            members = sorted(outer.members)
+            if rng.random() < 0.7:
+                picks = [FinSet(ground, rng.choice(members)) for _ in range(2)]
+            else:
+                picks = [FinSet(ground, rng.randrange(1 << n))]
+            inner = generate_sigma_ring(ground, picks)
+            want = by_definition(outer, inner)
+            assert has_simple_extension_property(outer, inner) == want
+            seen.add((want, inner.members <= outer.members))
+        assert seen == {(True, True), (False, True), (False, False)}
+
 
 class TestAtoms:
     def test_examples(self):
