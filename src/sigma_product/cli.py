@@ -13,6 +13,7 @@ import json
 import re
 import sys
 from fractions import Fraction
+from operator import and_, or_, sub
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from sigma_product.errors import (
@@ -84,10 +85,8 @@ def tokenize_line(text: str, line_no: int) -> List[Token]:
         m = TOKEN_RE.match(text, pos)
         if m is None:
             raise ParseError(f"unexpected character {text[pos]!r}", line_no, pos + 1)
-        if m.lastgroup == "ident":
-            tokens.append(Token("ident", m.group(), line_no, pos + 1))
-        elif m.lastgroup == "int":
-            tokens.append(Token("int", m.group(), line_no, pos + 1))
+        if m.lastgroup in ("ident", "int"):
+            tokens.append(Token(m.lastgroup, m.group(), line_no, pos + 1))
         elif m.lastgroup == "sym":
             tokens.append(Token(m.group(), m.group(), line_no, pos + 1))
         pos = m.end()
@@ -96,67 +95,50 @@ def tokenize_line(text: str, line_no: int) -> List[Token]:
 
 
 # ---------------------------------------------------------------------------
-# Expression ASTs (sets are resolved lazily so braces can be labels or points)
+# Expression ASTs
+#
+# A set literal is parsed straight into the tagged value that
+# Resolver.poly_set returns: ("real", RealSet), ("labels", frozenset) or
+# EMPTY, since braces stay polymorphic until a measure fixes the universe.
+# A SetOp combines two set nodes; a rectangle union is a list of (set, set)
+# pairs and Refs; a simple function is a list of FnTerms or a Ref.  Every
+# name is one Ref node, looked up when the command runs.  ind(Name) parses
+# to the marker IndRef, which may name a set or a rect, while ind((Name))
+# is a set expression.
+
+EMPTY = ("empty",)
+SET_OPS = {"|": or_, "&": and_, "\\": sub}
 
 
-class SetLit:
-    def __init__(self, value: RealSet):
-        self.value = value
+class Ref:
+    def __init__(self, name: str):
+        self.name = name
 
 
-class SetLabels:
-    def __init__(self, labels: Tuple[str, ...]):
-        self.labels = labels
-
-
-class SetEmpty:
+class IndRef(Ref):
     pass
 
 
-class SetRef:
-    def __init__(self, name: str, line: int, column: int):
-        self.name = name
-        self.line = line
-        self.column = column
-
-
 class SetOp:
-    def __init__(self, op: str, left, right):
-        self.op = op
+    def __init__(self, op, left, right):
+        self.op = op  # one of SET_OPS' values
         self.left = left
         self.right = right
 
 
-RectAst = List[Tuple[object, object]]  # pairs of set ASTs
-
-
-class RectRef:
-    def __init__(self, name: str, line: int, column: int):
-        self.name = name
-        self.line = line
-        self.column = column
+RectAst = List[object]  # (set, set) pairs and Refs
 
 
 class FnTerm:
-    def __init__(self, coeff: Fraction, arg, line: int, column: int):
+    def __init__(self, coeff: Fraction, arg):
         self.coeff = coeff
         self.arg = arg  # set AST, rect AST, or IndRef
-        self.line = line
-        self.column = column
-
-
-class IndRef:
-    def __init__(self, name: str, line: int, column: int):
-        self.name = name
-        self.line = line
-        self.column = column
 
 
 class Command:
-    def __init__(self, name: str, args: list, line: int):
+    def __init__(self, name: str, args: list):
         self.name = name
         self.args = args
-        self.line = line
 
 
 class SpecDocument:
@@ -168,6 +150,8 @@ class SpecDocument:
         self.sets: Dict[str, object] = {}
         self.rects: Dict[str, RectAst] = {}
         self.fns: Dict[str, List[FnTerm]] = {}
+        self.by_kind = {"measure": self.measures, "set": self.sets,
+                        "rect": self.rects, "fn": self.fns}
         self.command: Optional[Command] = None
 
 
@@ -211,6 +195,12 @@ class LineParser:
         if not self.at_end():
             self.fail(f"unexpected trailing input {self.peek().text!r}")
 
+    def parse_ref(self, node=Ref) -> Ref:
+        tok = self.expect("ident")
+        if tok.text in KEYWORDS:
+            self.fail(f"unexpected keyword {tok.text!r}", tok)
+        return node(tok.text)
+
     # -- numbers
 
     def parse_rational(self) -> Fraction:
@@ -238,94 +228,100 @@ class LineParser:
             self.fail("weight must be nonnegative", tok)
         return ExtNonNeg(value)
 
+    def parse_progression(self) -> Progression:
+        tok = self.next()  # 'prog'
+        self.expect("(")
+        base = self.parse_rational()
+        self.expect(",")
+        step = self.parse_rational()
+        self.expect(")")
+        if step <= 0:
+            self.fail("progression step must be positive", tok)
+        return Progression(base, step)
+
     # -- measures
 
     def parse_measure(self) -> Measure:
         tok = self.peek()
         if tok.kind != "ident":
             self.fail("expected a measure constructor")
-        if tok.text == "lebesgue":
-            self.next()
-            return LebesgueLine()
-        if tok.text == "counting":
-            self.next()
-            return CountingLine()
-        if tok.text == "dirac":
-            self.next()
-            self.expect("(")
-            p = self.parse_rational()
-            self.expect(")")
-            return DiracAt(p)
-        if tok.text == "tabulated":
-            self.next()
-            return self.parse_tabulated()
-        if tok.text == "atomic":
-            self.next()
-            return self.parse_atomic()
-        self.fail(f"unknown measure constructor {tok.text!r}", tok)
+        if tok.text not in MEASURES:
+            self.fail(f"unknown measure constructor {tok.text!r}", tok)
+        self.next()
+        return MEASURES[tok.text](self)
+
+    def parse_measure_ref(self):
+        tok = self.peek()
+        if tok.kind == "ident" and tok.text in MEASURES:
+            return self.parse_measure()
+        return self.parse_ref()
+
+    def parse_dirac(self) -> Measure:
+        self.expect("(")
+        p = self.parse_rational()
+        self.expect(")")
+        return DiracAt(p)
+
+    def parse_entries(self, entry) -> Token:
+        """'{' entry (',' entry)* [','] '}'; returns the closing brace."""
+        self.expect("{")
+        while self.peek().kind != "}":
+            entry()
+            if self.peek().kind == ",":
+                self.next()
+            elif self.peek().kind != "}":
+                self.fail("expected ',' or '}'")
+        return self.next()
 
     def parse_tabulated(self) -> Measure:
-        self.expect("{")
         weights: Dict[str, ExtNonNeg] = {}
-        while self.peek().kind != "}":
+
+        def entry():
             name_tok = self.expect("ident")
             if name_tok.text in weights:
                 self.fail(f"duplicate atom {name_tok.text!r}", name_tok)
             self.expect(":")
             weights[name_tok.text] = self.parse_weight()
-            if self.peek().kind == ",":
-                self.next()
-            elif self.peek().kind != "}":
-                self.fail("expected ',' or '}'")
-        self.next()
+
+        self.parse_entries(entry)
         if not weights:
             self.fail("tabulated measure needs at least one atom")
         return FiniteTabulated.power_set(weights)
 
     def parse_atomic(self) -> Measure:
-        self.expect("{")
         point_masses = []
         progression_weights = []
-        while self.peek().kind != "}":
+
+        def entry():
             tok = self.peek()
-            if tok.kind == "ident" and tok.text == "prog":
-                self.next()
-                self.expect("(")
-                base = self.parse_rational()
-                self.expect(",")
-                step = self.parse_rational()
-                self.expect(")")
-                if step <= 0:
-                    self.fail("progression step must be positive", tok)
-                self.expect(":")
-                rule_tok = self.expect("ident")
-                if rule_tok.text == "constant":
-                    self.expect("(")
-                    w = self.parse_weight()
-                    self.expect(")")
-                    rule = ConstantWeights(w)
-                elif rule_tok.text == "geometric":
-                    self.expect("(")
-                    first = self.parse_rational()
-                    self.expect(",")
-                    ratio = self.parse_rational()
-                    self.expect(")")
-                    try:
-                        rule = GeometricWeights(first, ratio)
-                    except ValueError as exc:
-                        raise ParseError(str(exc), rule_tok.line, rule_tok.column)
-                else:
-                    self.fail("expected 'constant' or 'geometric'", rule_tok)
-                progression_weights.append((Progression(base, step), rule))
-            else:
+            if not (tok.kind == "ident" and tok.text == "prog"):
                 p = self.parse_rational()
                 self.expect(":")
                 point_masses.append((p, self.parse_weight()))
-            if self.peek().kind == ",":
-                self.next()
-            elif self.peek().kind != "}":
-                self.fail("expected ',' or '}'")
-        close = self.next()
+                return
+            progression = self.parse_progression()
+            self.expect(":")
+            rule_tok = self.expect("ident")
+            if rule_tok.text == "constant":
+                self.expect("(")
+                w = self.parse_weight()
+                self.expect(")")
+                rule = ConstantWeights(w)
+            elif rule_tok.text == "geometric":
+                self.expect("(")
+                first = self.parse_rational()
+                self.expect(",")
+                ratio = self.parse_rational()
+                self.expect(")")
+                try:
+                    rule = GeometricWeights(first, ratio)
+                except ValueError as exc:
+                    raise ParseError(str(exc), rule_tok.line, rule_tok.column)
+            else:
+                self.fail("expected 'constant' or 'geometric'", rule_tok)
+            progression_weights.append((progression, rule))
+
+        close = self.parse_entries(entry)
         try:
             return CountableAtomic(point_masses, progression_weights)
         except ValueError as exc:
@@ -336,15 +332,15 @@ class LineParser:
     def parse_set_expr(self):
         node = self.parse_set_term()
         while self.peek().kind in ("|", "\\"):
-            op = self.next().kind
-            node = SetOp("union" if op == "|" else "diff", node, self.parse_set_term())
+            op = SET_OPS[self.next().kind]
+            node = SetOp(op, node, self.parse_set_term())
         return node
 
     def parse_set_term(self):
         node = self.parse_set_factor()
         while self.peek().kind == "&":
             self.next()
-            node = SetOp("intersect", node, self.parse_set_factor())
+            node = SetOp(and_, node, self.parse_set_factor())
         return node
 
     def parse_set_factor(self):
@@ -354,20 +350,10 @@ class LineParser:
         if tok.kind == "{":
             return self.parse_braces()
         if tok.kind == "ident" and tok.text == "prog":
-            self.next()
-            self.expect("(")
-            base = self.parse_rational()
-            self.expect(",")
-            step = self.parse_rational()
-            self.expect(")")
-            if step <= 0:
-                self.fail("progression step must be positive", tok)
-            return SetLit(RealSet.progression(base, step))
+            p = self.parse_progression()
+            return ("real", RealSet.progression(p.base, p.step))
         if tok.kind == "ident":
-            if tok.text in KEYWORDS:
-                self.fail(f"unexpected keyword {tok.text!r}", tok)
-            self.next()
-            return SetRef(tok.text, tok.line, tok.column)
+            return self.parse_ref()
         self.fail("expected a set")
 
     def parse_interval_or_group(self):
@@ -419,13 +405,13 @@ class LineParser:
         if lo is not None and hi is not None:
             if lo > hi or (lo == hi and (lo_open or hi_open)):
                 self.fail("empty interval", close_tok)
-        return SetLit(RealSet.interval(lo, hi, lo_open, hi_open))
+        return ("real", RealSet.interval(lo, hi, lo_open, hi_open))
 
     def parse_braces(self):
         self.expect("{")
         if self.peek().kind == "}":
             self.next()
-            return SetEmpty()
+            return EMPTY
         labels: List[str] = []
         points: List[Fraction] = []
         while True:
@@ -444,12 +430,12 @@ class LineParser:
             self.expect("}")
             break
         if labels:
-            return SetLabels(tuple(labels))
-        return SetLit(RealSet.points(points))
+            return ("labels", frozenset(labels))
+        return ("real", RealSet.points(points))
 
     # -- rectangles
 
-    def parse_rect_expr(self) -> List[object]:
+    def parse_rect_expr(self) -> RectAst:
         pieces = [self.parse_rect_term()]
         while self.peek().kind == "+":
             self.next()
@@ -457,15 +443,11 @@ class LineParser:
         return pieces
 
     def parse_rect_term(self):
-        tok = self.peek()
-        if tok.kind == "ident":
-            if tok.text in KEYWORDS:
-                self.fail(f"unexpected keyword {tok.text!r}", tok)
-            self.next()
-            return RectRef(tok.text, tok.line, tok.column)
+        if self.peek().kind == "ident":
+            return self.parse_ref()
         self.expect("(")
         left = self.parse_set_expr()
-        x_tok = self.expect_ident("x")
+        self.expect_ident("x")
         right = self.parse_set_expr()
         self.expect(")")
         return (left, right)
@@ -480,24 +462,21 @@ class LineParser:
         return terms
 
     def parse_fn_term(self, sign: Fraction) -> FnTerm:
-        tok = self.peek()
         coeff = Fraction(1)
-        if tok.kind in ("int", "-"):
+        if self.peek().kind in ("int", "-"):
             coeff = self.parse_rational()
             self.expect("*")
-        ind_tok = self.expect_ident("ind")
+        self.expect_ident("ind")
         self.expect("(")
         arg = self.parse_ind_arg()
         self.expect(")")
-        return FnTerm(sign * coeff, arg, ind_tok.line, ind_tok.column)
+        return FnTerm(sign * coeff, arg)
 
     def parse_ind_arg(self):
         tok = self.peek()
         if tok.kind == "ident" and tok.text not in KEYWORDS:
-            nxt = self.tokens[self.pos + 1]
-            if nxt.kind == ")":
-                self.next()
-                return IndRef(tok.text, tok.line, tok.column)
+            if self.tokens[self.pos + 1].kind == ")":
+                return self.parse_ref(IndRef)
         if tok.kind == "(":
             # try a rectangle atom first: "(" set "x" set ")"
             save = self.pos
@@ -514,6 +493,42 @@ class LineParser:
             self.pos = save
         return self.parse_set_expr()
 
+    def parse_fn_ref(self):
+        tok = self.peek()
+        if tok.kind == "ident" and tok.text != "ind":
+            return self.parse_ref()
+        return self.parse_fn_expr()
+
+
+MEASURES = {
+    "lebesgue": lambda parser: LebesgueLine(),
+    "counting": lambda parser: CountingLine(),
+    "dirac": LineParser.parse_dirac,
+    "tabulated": LineParser.parse_tabulated,
+    "atomic": LineParser.parse_atomic,
+}
+DECLARATIONS = {
+    "measure": LineParser.parse_measure,
+    "set": LineParser.parse_set_expr,
+    "rect": LineParser.parse_rect_expr,
+    "fn": LineParser.parse_fn_expr,
+}
+# The argument kinds of each command, in order.
+COMMANDS = {
+    "eval": ("measure", "set"),
+    "component": ("measure", "set"),
+    "classify": ("measure", "set"),
+    "product": ("measure", "measure", "rect"),
+    "integrate": ("measure", "fn"),
+    "fubini": ("measure", "measure", "fn"),
+}
+ARGUMENTS = {
+    "measure": LineParser.parse_measure_ref,
+    "set": LineParser.parse_set_expr,
+    "rect": LineParser.parse_rect_expr,
+    "fn": LineParser.parse_fn_ref,
+}
+
 
 def parse_spec(text: str) -> SpecDocument:
     doc = SpecDocument()
@@ -523,9 +538,7 @@ def parse_spec(text: str) -> SpecDocument:
             continue
         parser = LineParser(tokens, line_no)
         head = parser.peek()
-        if head.kind != "ident" or head.text not in (
-            "measure", "set", "rect", "fn", "cmd",
-        ):
+        if head.kind != "ident" or not (head.text == "cmd" or head.text in DECLARATIONS):
             parser.fail("expected a declaration or 'cmd'")
         parser.next()
         if head.text == "cmd":
@@ -540,14 +553,7 @@ def parse_spec(text: str) -> SpecDocument:
         if name_tok.text in doc.kinds:
             parser.fail(f"duplicate name {name_tok.text!r}", name_tok)
         parser.expect("=")
-        if head.text == "measure":
-            doc.measures[name_tok.text] = parser.parse_measure()
-        elif head.text == "set":
-            doc.sets[name_tok.text] = parser.parse_set_expr()
-        elif head.text == "rect":
-            doc.rects[name_tok.text] = parser.parse_rect_expr()
-        else:
-            doc.fns[name_tok.text] = parser.parse_fn_expr()
+        doc.by_kind[head.text][name_tok.text] = DECLARATIONS[head.text](parser)
         doc.kinds[name_tok.text] = head.text
         parser.expect_end()
     if doc.command is None:
@@ -557,48 +563,9 @@ def parse_spec(text: str) -> SpecDocument:
 
 def parse_command(parser: LineParser) -> Command:
     tok = parser.expect("ident")
-    name = tok.text
-    if name in ("eval", "component", "classify"):
-        m = parse_measure_ref(parser)
-        s = parser.parse_set_expr()
-        return Command(name, [m, s], tok.line)
-    if name == "product":
-        m1 = parse_measure_ref(parser)
-        m2 = parse_measure_ref(parser)
-        r = parser.parse_rect_expr()
-        return Command(name, [m1, m2, r], tok.line)
-    if name == "integrate":
-        m = parse_measure_ref(parser)
-        f = parse_fn_ref(parser)
-        return Command(name, [m, f], tok.line)
-    if name == "fubini":
-        m1 = parse_measure_ref(parser)
-        m2 = parse_measure_ref(parser)
-        f = parse_fn_ref(parser)
-        return Command(name, [m1, m2, f], tok.line)
-    parser.fail(f"unknown command {name!r}", tok)
-
-
-def parse_measure_ref(parser: LineParser):
-    tok = parser.peek()
-    if tok.kind == "ident" and tok.text in (
-        "lebesgue", "counting", "dirac", "tabulated", "atomic",
-    ):
-        return parser.parse_measure()
-    name_tok = parser.expect("ident")
-    if name_tok.text in KEYWORDS:
-        parser.fail(f"unexpected keyword {name_tok.text!r}", name_tok)
-    return SetRef(name_tok.text, name_tok.line, name_tok.column)
-
-
-def parse_fn_ref(parser: LineParser):
-    tok = parser.peek()
-    if tok.kind == "ident" and tok.text != "ind":
-        if tok.text in KEYWORDS:
-            parser.fail(f"unexpected keyword {tok.text!r}", tok)
-        parser.next()
-        return IndRef(tok.text, tok.line, tok.column)
-    return parser.parse_fn_expr()
+    if tok.text not in COMMANDS:
+        parser.fail(f"unknown command {tok.text!r}", tok)
+    return Command(tok.text, [ARGUMENTS[kind](parser) for kind in COMMANDS[tok.text]])
 
 
 # ---------------------------------------------------------------------------
@@ -609,67 +576,38 @@ class Resolver:
     def __init__(self, doc: SpecDocument):
         self.doc = doc
 
-    def measure(self, node) -> Measure:
-        if isinstance(node, Measure):
-            return node
-        name = node.name
-        if name not in self.doc.kinds:
+    def lookup(self, ref: Ref, *kinds: str):
+        """The value declared under ``ref.name``, which must be one of ``kinds``."""
+        name = ref.name
+        kind = self.doc.kinds.get(name)
+        if kind is None:
             raise UnresolvedName(f"undeclared name {name!r}")
-        if self.doc.kinds[name] != "measure":
-            raise UnresolvedName(f"{name!r} is a {self.doc.kinds[name]}, not a measure")
-        return self.doc.measures[name]
+        if kind not in kinds:
+            raise UnresolvedName(f"{name!r} is a {kind}, not a {' or '.join(kinds)}")
+        return self.doc.by_kind[kind][name]
+
+    def measure(self, node) -> Measure:
+        return node if isinstance(node, Measure) else self.lookup(node, "measure")
 
     def poly_set(self, node):
         """Resolve to ('real', RealSet) | ('labels', labels) | ('empty',)."""
-        if isinstance(node, SetLit):
-            return ("real", node.value)
-        if isinstance(node, SetLabels):
-            return ("labels", frozenset(node.labels))
-        if isinstance(node, SetEmpty):
-            return ("empty",)
-        if isinstance(node, SetRef):
-            name = node.name
-            if name not in self.doc.kinds:
-                raise UnresolvedName(f"undeclared name {name!r}")
-            if self.doc.kinds[name] != "set":
-                raise UnresolvedName(f"{name!r} is a {self.doc.kinds[name]}, not a set")
-            return self.poly_set(self.doc.sets[name])
+        if isinstance(node, tuple):
+            return node
         if isinstance(node, SetOp):
             return self._combine(node.op, self.poly_set(node.left), self.poly_set(node.right))
-        raise AssertionError(f"bad set node {node!r}")
+        return self.poly_set(self.lookup(node, "set"))
 
-    def _combine(self, op: str, a, b):
-        if a[0] == "empty" and b[0] == "empty":
-            return ("empty",)
+    def _combine(self, op, a, b):
         if a[0] == "empty":
-            if op == "union":
-                return b
-            return ("empty",)
+            return b if op is or_ else EMPTY
         if b[0] == "empty":
-            if op == "intersect":
-                return ("empty",)
-            return a
+            return EMPTY if op is and_ else a
         if a[0] != b[0]:
             raise UniverseMismatch("cannot mix label sets and real-line sets")
-        if a[0] == "real":
-            ops = {
-                "union": lambda x, y: x | y,
-                "intersect": lambda x, y: x & y,
-                "diff": lambda x, y: x - y,
-            }
-            return ("real", ops[op](a[1], b[1]))
-        ops = {
-            "union": lambda x, y: x | y,
-            "intersect": lambda x, y: x & y,
-            "diff": lambda x, y: x - y,
-        }
-        return ("labels", ops[op](a[1], b[1]))
+        return (a[0], op(a[1], b[1]))
 
     def concrete_set(self, node, measure: Measure):
         poly = self.poly_set(node)
-        return self._concretize(poly, measure)
-
-    def _concretize(self, poly, measure: Measure):
         universe = measure.universe
         if poly[0] == "empty":
             if universe == ("line",):
@@ -694,17 +632,9 @@ class Resolver:
     def rect_union(self, pieces, left: Measure, right: Measure) -> RectUnion:
         rects = []
         for piece in pieces:
-            if isinstance(piece, RectRef):
-                name = piece.name
-                if name not in self.doc.kinds:
-                    raise UnresolvedName(f"undeclared name {name!r}")
-                if self.doc.kinds[name] != "rect":
-                    raise UnresolvedName(
-                        f"{name!r} is a {self.doc.kinds[name]}, not a rect"
-                    )
-                rects.extend(
-                    self.rect_union(self.doc.rects[name], left, right).rects
-                )
+            if isinstance(piece, Ref):
+                named = self.lookup(piece, "rect")
+                rects.extend(self.rect_union(named, left, right).rects)
                 continue
             a_node, b_node = piece
             a = self.concrete_set(a_node, left)
@@ -715,62 +645,42 @@ class Resolver:
             return RectUnion.empty()
         return RectUnion(rects)
 
-    def line_fn(self, terms, measure: Measure) -> SimpleFunction:
+    def line_fn(self, fn, measure: Measure) -> SimpleFunction:
         resolved = []
-        for term in self._expand_fn(terms):
-            if isinstance(term.arg, list):
+        for coeff, _, arg in self._indicators(fn):
+            if isinstance(arg, list):
                 raise UniverseMismatch(
                     "rectangle indicator used with a single measure"
                 )
-            s = self.concrete_set(term.arg, measure)
-            resolved.append((term.coeff, s))
+            resolved.append((coeff, self.concrete_set(arg, measure)))
         return SimpleFunction(resolved, measure.universe)
 
-    def product_fn(self, terms, left: Measure, right: Measure) -> SimpleFunction:
+    def product_fn(self, fn, left: Measure, right: Measure) -> SimpleFunction:
         resolved = []
-        for term in self._expand_fn(terms):
-            if isinstance(term.arg, list):
-                ru = self.rect_union(term.arg, left, right)
-            else:
-                name = getattr(term.arg, "name", None)
+        for coeff, written, arg in self._indicators(fn):
+            if not isinstance(arg, list):
                 raise UniverseMismatch(
                     "fubini needs rectangle indicators"
-                    + (f" ({name!r} is not a rect)" if name else "")
+                    + (f" ({written.name!r} is not a rect)"
+                       if isinstance(written, IndRef) else "")
                 )
+            ru = self.rect_union(arg, left, right)
             if not ru.is_empty:
-                resolved.append((term.coeff, ru))
+                resolved.append((coeff, ru))
         return SimpleFunction(
             resolved, ("prod", left.universe, right.universe)
         )
 
-    def _expand_fn(self, terms) -> List[FnTerm]:
-        if isinstance(terms, IndRef):
-            name = terms.name
-            if name not in self.doc.kinds:
-                raise UnresolvedName(f"undeclared name {name!r}")
-            if self.doc.kinds[name] != "fn":
-                raise UnresolvedName(f"{name!r} is a {self.doc.kinds[name]}, not a fn")
-            return self._expand_fn(self.doc.fns[name])
-        out = []
-        for term in terms:
-            if isinstance(term.arg, IndRef):
-                name = term.arg.name
-                if name not in self.doc.kinds:
-                    raise UnresolvedName(f"undeclared name {name!r}")
-                kind = self.doc.kinds[name]
-                if kind == "set":
-                    out.append(
-                        FnTerm(term.coeff, self.doc.sets[name], term.line, term.column)
-                    )
-                elif kind == "rect":
-                    out.append(
-                        FnTerm(term.coeff, self.doc.rects[name], term.line, term.column)
-                    )
-                else:
-                    raise UnresolvedName(f"{name!r} is a {kind}, not a set or rect")
-            else:
-                out.append(term)
-        return out
+    def _indicators(self, fn) -> List[Tuple[Fraction, object, object]]:
+        """(coefficient, argument as written, set or rect AST) per term,
+        with every name looked up before any set is built."""
+        terms = self.lookup(fn, "fn") if isinstance(fn, Ref) else fn
+        return [
+            (term.coeff, term.arg,
+             self.lookup(term.arg, "set", "rect")
+             if isinstance(term.arg, IndRef) else term.arg)
+            for term in terms
+        ]
 
 
 # ---------------------------------------------------------------------------

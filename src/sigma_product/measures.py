@@ -23,7 +23,11 @@ from sigma_product.extreal import (
 from sigma_product.finset import FinSet
 from sigma_product.lineset import CountablePart, Progression, RealSet
 from sigma_product.rectset import LINE_UNIVERSE, render_universe, universe_of
-from sigma_product.sigma import SigmaRingFin, has_simple_extension_property
+from sigma_product.sigma import (
+    SigmaRingFin,
+    has_simple_extension_property,
+    ring_from_atoms,
+)
 
 
 class FinitenessClass(Enum):
@@ -306,17 +310,14 @@ class FiniteTabulated(Measure):
 
     @staticmethod
     def power_set(weights: Dict[object, ExtNonNeg]) -> "FiniteTabulated":
-        """Power-set measure with one weight per ground element."""
-        from sigma_product.sigma import generate_sigma_algebra
-
+        """Power-set measure with one weight per ground element: the ring is
+        built from its singleton atoms, with no closure."""
         ground = tuple(weights)
-        ring = generate_sigma_algebra(
-            ground, [FinSet.of(ground, [x]) for x in ground]
-        )
-        return FiniteTabulated(
-            ring,
-            {FinSet.of(ground, [x]): ExtNonNeg.of(w) for x, w in weights.items()},
-        )
+        singletons = {
+            FinSet(ground, 1 << i): ExtNonNeg.of(w)
+            for i, w in enumerate(weights.values())
+        }
+        return FiniteTabulated(ring_from_atoms(ground, list(singletons)), singletons)
 
     @property
     def universe(self) -> tuple:

@@ -3,9 +3,11 @@
 On a finite ground, closure under countable unions collapses to closure
 under pairwise unions, so a sigma-ring can be generated by a worklist
 fixed point over (union, difference) pairs and stored exhaustively.
-A ring is exactly the set of unions of its atoms, so a product ring needs
-no closure: it is the set of unions of the products of the factors'
-atoms, and its size limit is checked from 2^atoms before any work.
+A ring is exactly the set of unions of its atoms, so a ring whose atoms
+are known needs no closure: ``ring_from_atoms`` builds it from them, with
+its size limit checked from 2^atoms before any member is built.  Product
+rings (products of the factors' atoms) and power sets (singletons) are
+built this way.
 """
 
 from __future__ import annotations
@@ -145,6 +147,24 @@ def _close(ground: Ground, masks: Iterable[int], limit: int | None) -> frozenset
     return frozenset(members)
 
 
+def _check_size(atom_count: int, limit: int | None) -> None:
+    bound = size_limit(limit)
+    if 1 << atom_count > bound:
+        raise SizeLimit(f"sigma-ring would exceed {bound} members")
+
+
+def ring_from_atoms(
+    ground: Sequence, atoms: Sequence[FinSet], limit: int | None = None
+) -> SigmaRingFin:
+    """The ring whose atoms are the given disjoint nonempty sets: the 2^atoms
+    unions of them, with the atoms stored in mask order."""
+    _check_size(len(atoms), limit)
+    atoms = sorted(atoms, key=lambda a: a.mask)
+    ring = SigmaRingFin(ground, _unions([a.mask for a in atoms]), check=False)
+    object.__setattr__(ring, "_atoms", tuple(atoms))
+    return ring
+
+
 def generate_sigma_ring(
     ground: Sequence, family: Iterable[FinSet], limit: int | None = None
 ) -> SigmaRingFin:
@@ -192,25 +212,18 @@ def product_sigma_ring_n(
     """n-fold product generated by n-dimensional rectangles.
 
     The product ground is built left-associatively, pairing labels, so
-    that iterated binary products land on the same ground.  The ring is
-    the set of unions of the products a1 x ... x an of the factors' atoms;
-    it has 2^atoms members, and the size limit is checked from that count
-    before anything is built.
+    that iterated binary products land on the same ground.  The ring's
+    atoms are the products a1 x ... x an of the factors' atoms.
     """
     if not rings:
         raise ValueError("need at least one ring")
     factor_atoms = [ring.atoms() for ring in rings]
-    bound = size_limit(limit)
-    if 1 << prod(map(len, factor_atoms)) > bound:
-        raise SizeLimit(f"sigma-ring would exceed {bound} members")
+    _check_size(prod(map(len, factor_atoms)), limit)  # before any product is built
     ground, atoms = rings[0].ground, factor_atoms[0]
     for ring, right in zip(rings[1:], factor_atoms[1:]):
         ground = product_ground(ground, ring.ground)
         atoms = [product_set(a, b, ground) for a in atoms for b in right]
-    atoms.sort(key=lambda a: a.mask)
-    ring = SigmaRingFin(ground, _unions([a.mask for a in atoms]), check=False)
-    object.__setattr__(ring, "_atoms", tuple(atoms))
-    return ring
+    return ring_from_atoms(ground, atoms, limit)
 
 
 def has_simple_extension_property(outer: SigmaRingFin, inner: SigmaRingFin) -> bool:

@@ -143,6 +143,22 @@ class TestFiniteTabulated:
             s = FinSet(g, x)
             assert (m.finiteness(s) is FINITE) == m.measure(s).is_finite
 
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_power_set_matches_generated_algebra(self, n):
+        rng = random.Random(n)
+        ground = tuple(f"p{k}" for k in rng.sample(range(20), n))
+        weights = {x: rng.choice([ZERO, ExtNonNeg(F(1, 2)), ExtNonNeg(3), INF])
+                   for x in ground}
+        built = self.make(weights)
+        singletons = [FinSet.of(ground, [x]) for x in ground]
+        ring = generate_sigma_algebra(ground, singletons)
+        closed = FiniteTabulated(ring, dict(zip(singletons, weights.values())))
+        assert built.ring.members == ring.members
+        assert built.ring.atoms() == ring.atoms() == singletons
+        assert built.render() == closed.render()
+        assert built == closed and built.ring == ring
+        assert hash(built) == hash(closed) and hash(built.ring) == hash(ring)
+
 
 class TestCountableAtomic:
     def test_point_masses(self):

@@ -1,0 +1,53 @@
+"""Guard for the benchmark's per-layer view.
+
+``perfbench/tracer.py`` wraps library functions and methods by name, so a
+refactor that moves or renames one of them zeroes a per-layer metric
+while every other check still passes.  This test installs that tracer,
+runs one query through each layer it reports on, and checks that each
+layer saw work.  It only reads ``perfbench/``.
+"""
+
+import io
+import sys
+from fractions import Fraction
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = ROOT / "tests" / "golden"
+sys.path.insert(0, str(ROOT / "perfbench"))
+
+from common import import_library  # noqa: E402
+from tracer import Tracer  # noqa: E402
+
+LAYER_METRICS = (
+    "cli.specs",
+    "measures.evals",
+    "product.rect_class.calls",
+    "lineset.ops",
+    "sigma.rings",
+)
+
+
+def test_each_traced_layer_sees_work():
+    lib = import_library(with_cli=True)
+    tracer = Tracer(lib)
+    tracer.install()
+    try:
+        tracer.enabled = True
+        spec = GOLDEN / "01_eval_lebesgue.spec"
+        assert lib.cli.run_file(str(spec), "text", out=io.StringIO()) == 0
+        RealSet, M = lib.lineset.RealSet, lib.measures
+        pm = lib.product.ProductMeasure(M.LebesgueLine(), M.CountingLine())
+        side = RealSet.interval(Fraction(0), Fraction(1))
+        pm.evaluate(lib.rectset.RectUnion([(side, side | RealSet.points([Fraction(3)]))]))
+        one = lib.extreal.ExtNonNeg(1)
+        lib.product.finite_product_measure(
+            M.FiniteTabulated.power_set({"a": one, "b": one}),
+            M.FiniteTabulated.power_set({"c": one}),
+        )
+        tracer.enabled = False
+    finally:
+        tracer.uninstall()
+    assert not hasattr(lib.cli.run_file, "__wrapped__")
+    metrics = tracer.metrics()
+    assert {key: metrics[key] for key in LAYER_METRICS if not metrics[key] > 0} == {}
