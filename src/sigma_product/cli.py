@@ -575,6 +575,7 @@ def parse_command(parser: LineParser) -> Command:
 class Resolver:
     def __init__(self, doc: SpecDocument):
         self.doc = doc
+        self.resolving: set = set()  # names whose declarations are being resolved
 
     def lookup(self, ref: Ref, *kinds: str):
         """The value declared under ``ref.name``, which must be one of ``kinds``."""
@@ -586,6 +587,17 @@ class Resolver:
             raise UnresolvedName(f"{name!r} is a {kind}, not a {' or '.join(kinds)}")
         return self.doc.by_kind[kind][name]
 
+    def follow(self, ref: Ref, kind: str, resolve):
+        """``resolve`` of the declaration of ``ref``, refusing a name that
+        its own declaration reaches, directly or through other names."""
+        if ref.name in self.resolving:
+            raise UnresolvedName(f"{ref.name!r} is defined in terms of itself")
+        self.resolving.add(ref.name)
+        try:
+            return resolve(self.lookup(ref, kind))
+        finally:
+            self.resolving.discard(ref.name)
+
     def measure(self, node) -> Measure:
         return node if isinstance(node, Measure) else self.lookup(node, "measure")
 
@@ -595,7 +607,7 @@ class Resolver:
             return node
         if isinstance(node, SetOp):
             return self._combine(node.op, self.poly_set(node.left), self.poly_set(node.right))
-        return self.poly_set(self.lookup(node, "set"))
+        return self.follow(node, "set", self.poly_set)
 
     def _combine(self, op, a, b):
         if a[0] == "empty":
@@ -630,20 +642,22 @@ class Resolver:
         return FinSet.of(ground, poly[1])
 
     def rect_union(self, pieces, left: Measure, right: Measure) -> RectUnion:
-        rects = []
+        rects = self._rect_pairs(pieces, left, right, [])
+        return RectUnion(rects) if rects else RectUnion.empty()
+
+    def _rect_pairs(self, pieces, left: Measure, right: Measure, rects: list) -> list:
+        """``rects`` extended by the nonempty (a, b) pairs of ``pieces``, with
+        named rects expanded in place."""
         for piece in pieces:
             if isinstance(piece, Ref):
-                named = self.lookup(piece, "rect")
-                rects.extend(self.rect_union(named, left, right).rects)
+                self.follow(piece, "rect",
+                            lambda named: self._rect_pairs(named, left, right, rects))
                 continue
-            a_node, b_node = piece
-            a = self.concrete_set(a_node, left)
-            b = self.concrete_set(b_node, right)
+            a = self.concrete_set(piece[0], left)
+            b = self.concrete_set(piece[1], right)
             if not (a.is_empty or b.is_empty):
                 rects.append((a, b))
-        if not rects:
-            return RectUnion.empty()
-        return RectUnion(rects)
+        return rects
 
     def line_fn(self, fn, measure: Measure) -> SimpleFunction:
         resolved = []

@@ -251,19 +251,23 @@ def _product_grid(f: SimpleFunction) -> _Grid:
     return _Grid(a_parts, b_parts, tuple((i, j, coeffs[k]) for i, j, k in cover))
 
 
+def _measured_grid(f: SimpleFunction, mu: Measure, nu: Measure):
+    """The product grid of f, with the measure of each side part."""
+    _check_product_universe(f, mu, nu)
+    grid = _product_grid(f)
+    return grid, [mu.measure(a) for a in grid.a_parts], [nu.measure(b) for b in grid.b_parts]
+
+
 def tensor_functional(f: SimpleFunction, mu: Measure, nu: Measure) -> Fraction:
     """Value of the tensor functional on a product simple function whose
     rectangles have finite-measure sides; also recomputes the value by
     slicing in both orders and insists the three agree."""
-    _check_product_universe(f, mu, nu)
-    grid = _product_grid(f)
-    mu_vals = [mu.measure(a) for a in grid.a_parts]
-    nu_vals = [nu.measure(b) for b in grid.b_parts]
+    grid, mu_vals, nu_vals = _measured_grid(f, mu, nu)
     for i, j, _ in grid.cells:
         if not (mu_vals[i].is_finite and nu_vals[j].is_finite):
             raise NotSimpleTensor("a rectangle side has infinite measure")
     cell_values = [mu_vals[i] * nu_vals[j] for i, j, _ in grid.cells]
-    direct, by_rows, by_cols = _fubini_signed(grid, mu_vals, nu_vals, cell_values)
+    direct, by_rows, by_cols = _integrals(grid, mu_vals, nu_vals, cell_values)
     assert direct == by_rows == by_cols, "slicing orders disagree"
     return direct
 
@@ -338,33 +342,16 @@ def render_value(v: Value) -> str:
     return render_rational(v)
 
 
-def _values_agree(values: Sequence[Value]) -> bool:
-    def key(v: Value):
-        if v is None:
-            return ("undefined",)
-        if isinstance(v, _NegativeInfinity):
-            return ("-inf",)
-        if isinstance(v, ExtNonNeg):
-            return ("inf",) if not v.is_finite else ("q", v.finite)
-        return ("q", v)
-
-    keys = {key(v) for v in values}
-    return len(keys) == 1
-
-
 def fubini_check(f: SimpleFunction, mu: Measure, nu: Measure) -> IntegralReport:
     """Check the product integral against both iterated integrals.
 
-    With an integrable integrand this is the Fubini identity; with a
-    nonnegative integrand of sigma-finite support it is the Tonelli
-    identity.  Otherwise the three values are still reported (computed by
-    positive/negative parts) and the verdict flags the broken hypothesis;
-    the values may then genuinely disagree.
+    Each of the three values is the integral of the positive part minus
+    that of the negative part.  With every cell of finite measure (an
+    integrable integrand) they must agree by Fubini; with a nonnegative
+    integrand of sigma-finite support, by Tonelli.  Otherwise the verdict
+    flags the broken hypothesis, and the values may genuinely disagree.
     """
-    _check_product_universe(f, mu, nu)
-    grid = _product_grid(f)
-    mu_vals = [mu.measure(a) for a in grid.a_parts]
-    nu_vals = [nu.measure(b) for b in grid.b_parts]
+    grid, mu_vals, nu_vals = _measured_grid(f, mu, nu)
     mu_nsf = [mu.finiteness(a) is NOT_SIGMA_FINITE for a in grid.a_parts]
     nu_nsf = [nu.finiteness(b) is NOT_SIGMA_FINITE for b in grid.b_parts]
 
@@ -374,25 +361,26 @@ def fubini_check(f: SimpleFunction, mu: Measure, nu: Measure) -> IntegralReport:
         INF if mu_nsf[i] or nu_nsf[j] else mu_vals[i] * nu_vals[j]
         for i, j, _ in grid.cells
     ]
+    product, sv, ts = _integrals(grid, mu_vals, nu_vals, cell_values)
 
-    if all(v.is_finite for v in cell_values):
-        product, sv, ts = _fubini_signed(grid, mu_vals, nu_vals, cell_values)
-        assert _values_agree([product, sv, ts]), "Fubini identity failed"
+    if all(v.is_finite for v in cell_values) or (f.nonnegative and sigma_finite_support):
+        assert product == sv == ts, "Fubini-Tonelli identity failed"
         return IntegralReport(product, sv, ts, ALL_EQUAL)
-
-    if f.nonnegative and sigma_finite_support:
-        product, sv, ts = _tonelli_extended(grid, mu_vals, nu_vals, cell_values, 1)
-        assert _values_agree([product, sv, ts]), "Tonelli identity failed"
-        return IntegralReport(product, sv, ts, ALL_EQUAL)
-
     if not f.nonnegative:
         reason = "integrand is signed but not integrable"
     else:
         reason = "support is not sigma-finite"
-    p_vals = _tonelli_extended(grid, mu_vals, nu_vals, cell_values, 1)
-    n_vals = _tonelli_extended(grid, mu_vals, nu_vals, cell_values, -1)
-    diag = tuple(_ext_sub(p, n) for p, n in zip(p_vals, n_vals))
-    return IntegralReport(diag[0], diag[1], diag[2], HYPOTHESIS_VIOLATED, reason)
+    return IntegralReport(product, sv, ts, HYPOTHESIS_VIOLATED, reason)
+
+
+def _integrals(grid, mu_vals, nu_vals, cell_values) -> Tuple[Value, Value, Value]:
+    """The product integral and both iterated integrals of the grid, each
+    as the integral of the positive part minus that of the negative part.
+    A null row meets an infinite column in a null cell (0 * inf = 0), so an
+    integrable grid has finite parts and exact rational values."""
+    pos = _tonelli_extended(grid, mu_vals, nu_vals, cell_values, 1)
+    neg = _tonelli_extended(grid, mu_vals, nu_vals, cell_values, -1)
+    return tuple(_ext_sub(p, n) for p, n in zip(pos, neg))
 
 
 def _ext_sub(p: ExtNonNeg, n: ExtNonNeg) -> Value:
@@ -403,24 +391,6 @@ def _ext_sub(p: ExtNonNeg, n: ExtNonNeg) -> Value:
     if n.is_finite:
         return INF
     return None  # inf - inf
-
-
-def _fubini_signed(grid, mu_vals, nu_vals, cell_values):
-    """All three integrals of an integrable signed grid, exactly: the sum
-    over cells, and the outer sums of the row and the column slices.  A
-    slice of a null row or column is skipped, since it may be infinite."""
-    product = Fraction(0)
-    rows: dict[int, Fraction] = {}
-    cols: dict[int, Fraction] = {}
-    for (i, j, c), value in zip(grid.cells, cell_values):
-        product += c * value.finite
-        if not mu_vals[i].is_zero:
-            rows[i] = rows.get(i, 0) + c * nu_vals[j].finite
-        if not nu_vals[j].is_zero:
-            cols[j] = cols.get(j, 0) + c * mu_vals[i].finite
-    by_rows = sum((mu_vals[i].finite * s for i, s in rows.items() if s), Fraction(0))
-    by_cols = sum((nu_vals[j].finite * s for j, s in cols.items() if s), Fraction(0))
-    return product, by_rows, by_cols
 
 
 def _tonelli_extended(grid, mu_vals, nu_vals, cell_values, sign):

@@ -789,31 +789,29 @@ def _canonicalize(
     excluded = excluded.diff(included).meet_intervals(iu)
     included = included.minus_intervals(iu)
 
-    # Fold countable corrections at endpoints into the interval flags.
-    work = list(iu)
-    changed = True
-    while changed:
-        changed = False
-        for i, iv in enumerate(work):
-            if iv.lo is not None and not iv.lo_open and excluded.member(iv.lo):
-                work[i] = Interval(iv.lo, iv.hi, True, iv.hi_open)
-                excluded = excluded.diff(CountablePart((iv.lo,), ()))
-                changed = True
-            iv = work[i]
-            if iv.hi is not None and not iv.hi_open and excluded.member(iv.hi):
-                work[i] = Interval(iv.lo, iv.hi, iv.lo_open, True)
-                excluded = excluded.diff(CountablePart((iv.hi,), ()))
-                changed = True
-            iv = work[i]
-            if iv.lo is not None and iv.lo_open and included.member(iv.lo):
-                work[i] = Interval(iv.lo, iv.hi, False, iv.hi_open)
-                included = included.diff(CountablePart((iv.lo,), ()))
-                changed = True
-            iv = work[i]
-            if iv.hi is not None and iv.hi_open and included.member(iv.hi):
-                work[i] = Interval(iv.lo, iv.hi, iv.lo_open, False)
-                included = included.diff(CountablePart((iv.hi,), ()))
-                changed = True
+    # Fold countable corrections at endpoints into the interval flags: a
+    # closed endpoint in excluded opens, an open endpoint in included
+    # closes.  A closed endpoint is never in included, nor an open one in
+    # excluded, so a flipped flag needs no second look: one pass suffices.
+    work: List[Interval] = []
+    unexcluded: List[Fraction] = []
+    unincluded: List[Fraction] = []
+    for iv in iu:
+        lo_open, hi_open = iv.lo_open, iv.hi_open
+        if iv.lo is not None and (included if lo_open else excluded).member(iv.lo):
+            (unincluded if lo_open else unexcluded).append(iv.lo)
+            lo_open = not lo_open
+        if iv.hi is not None and (included if hi_open else excluded).member(iv.hi):
+            (unincluded if hi_open else unexcluded).append(iv.hi)
+            hi_open = not hi_open
+        if (lo_open, hi_open) != (iv.lo_open, iv.hi_open):
+            iv = Interval(iv.lo, iv.hi, lo_open, hi_open)
+        work.append(iv)
+    # Endpoints come in ascending order; two open intervals may share one.
+    if unexcluded:
+        excluded = excluded.diff(CountablePart(tuple(unexcluded), ()))
+    if unincluded:
+        included = included.diff(CountablePart(tuple(dict.fromkeys(unincluded)), ()))
 
     iu, extra = normalize_intervals(work)
     assert not extra

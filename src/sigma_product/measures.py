@@ -351,17 +351,10 @@ class FiniteTabulated(Measure):
         return FINITE
 
     def finite_part_ring(self) -> SigmaRingFin:
-        """The sigma-ring of sigma-finite sets: members avoiding every
-        infinite-weight atom."""
-        bad = 0
-        for atom in self.atoms:
-            if not self._weights[atom.mask].is_finite:
-                bad |= atom.mask
-        return SigmaRingFin(
-            self.ring.ground,
-            {m for m in self.ring.members if not m & bad},
-            check=False,
-        )
+        """The sigma-ring of sigma-finite sets: the unions of the atoms of
+        finite weight."""
+        finite = [atom for atom in self.atoms if self._weights[atom.mask].is_finite]
+        return ring_from_atoms(self.ring.ground, finite)
 
     def render(self) -> str:
         bits = []

@@ -103,12 +103,10 @@ def product3_eval(
     return v_left
 
 
-def finite_product_measure(
-    mu: FiniteTabulated, nu: FiniteTabulated, limit: int | None = None
-) -> FiniteTabulated:
+def finite_product_measure(mu: FiniteTabulated, nu: FiniteTabulated) -> FiniteTabulated:
     """The product measure on the product sigma-ring of two tabulated
     measures, as atom weights: each product atom is one cell a x b."""
-    ring = product_sigma_ring(mu.ring, nu.ring, limit)
+    ring = product_sigma_ring(mu.ring, nu.ring)
     weights: Dict[FinSet, ExtNonNeg] = {}
     for a in mu.atoms:
         wa = mu.atom_weight(a)

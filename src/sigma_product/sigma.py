@@ -25,9 +25,7 @@ DEFAULT_SIZE_LIMIT = 1 << 16
 SIZE_LIMIT_ENV = "SIGMA_PRODUCT_SIZE_LIMIT"
 
 
-def size_limit(override: int | None = None) -> int:
-    if override is not None:
-        return override
+def size_limit() -> int:
     env = os.environ.get(SIZE_LIMIT_ENV)
     if not env:
         return DEFAULT_SIZE_LIMIT
@@ -129,8 +127,8 @@ def _unions(atoms: Sequence[int]) -> List[int]:
     return out
 
 
-def _close(ground: Ground, masks: Iterable[int], limit: int | None) -> frozenset[int]:
-    bound = size_limit(limit)
+def _close(ground: Ground, masks: Iterable[int]) -> frozenset[int]:
+    bound = size_limit()
     members = {0} | set(masks)
     if len(members) > bound:
         raise SizeLimit(f"sigma-ring would exceed {bound} members")
@@ -147,27 +145,23 @@ def _close(ground: Ground, masks: Iterable[int], limit: int | None) -> frozenset
     return frozenset(members)
 
 
-def _check_size(atom_count: int, limit: int | None) -> None:
-    bound = size_limit(limit)
+def _check_size(atom_count: int) -> None:
+    bound = size_limit()
     if 1 << atom_count > bound:
         raise SizeLimit(f"sigma-ring would exceed {bound} members")
 
 
-def ring_from_atoms(
-    ground: Sequence, atoms: Sequence[FinSet], limit: int | None = None
-) -> SigmaRingFin:
+def ring_from_atoms(ground: Sequence, atoms: Sequence[FinSet]) -> SigmaRingFin:
     """The ring whose atoms are the given disjoint nonempty sets: the 2^atoms
     unions of them, with the atoms stored in mask order."""
-    _check_size(len(atoms), limit)
+    _check_size(len(atoms))
     atoms = sorted(atoms, key=lambda a: a.mask)
     ring = SigmaRingFin(ground, _unions([a.mask for a in atoms]), check=False)
     object.__setattr__(ring, "_atoms", tuple(atoms))
     return ring
 
 
-def generate_sigma_ring(
-    ground: Sequence, family: Iterable[FinSet], limit: int | None = None
-) -> SigmaRingFin:
+def generate_sigma_ring(ground: Sequence, family: Iterable[FinSet]) -> SigmaRingFin:
     """Least family containing ``family`` closed under union and difference."""
     ground = tuple(ground)
     masks = []
@@ -175,16 +169,14 @@ def generate_sigma_ring(
         if s.ground != ground:
             raise ValueError("family member over a different ground")
         masks.append(s.mask)
-    return SigmaRingFin(ground, _close(ground, masks, limit), check=False)
+    return SigmaRingFin(ground, _close(ground, masks), check=False)
 
 
-def generate_sigma_algebra(
-    ground: Sequence, family: Iterable[FinSet], limit: int | None = None
-) -> SigmaRingFin:
+def generate_sigma_algebra(ground: Sequence, family: Iterable[FinSet]) -> SigmaRingFin:
     """Sigma-ring generated by the family together with the full ground."""
     ground = tuple(ground)
     full = FinSet.full(ground)
-    return generate_sigma_ring(ground, list(family) + [full], limit)
+    return generate_sigma_ring(ground, list(family) + [full])
 
 
 def restrict_family(family: Iterable[FinSet], s: FinSet) -> List[FinSet]:
@@ -199,16 +191,12 @@ def restrict_family(family: Iterable[FinSet], s: FinSet) -> List[FinSet]:
     return out
 
 
-def product_sigma_ring(
-    r1: SigmaRingFin, r2: SigmaRingFin, limit: int | None = None
-) -> SigmaRingFin:
+def product_sigma_ring(r1: SigmaRingFin, r2: SigmaRingFin) -> SigmaRingFin:
     """Sigma-ring generated by all rectangles of members."""
-    return product_sigma_ring_n([r1, r2], limit)
+    return product_sigma_ring_n([r1, r2])
 
 
-def product_sigma_ring_n(
-    rings: Sequence[SigmaRingFin], limit: int | None = None
-) -> SigmaRingFin:
+def product_sigma_ring_n(rings: Sequence[SigmaRingFin]) -> SigmaRingFin:
     """n-fold product generated by n-dimensional rectangles.
 
     The product ground is built left-associatively, pairing labels, so
@@ -218,21 +206,25 @@ def product_sigma_ring_n(
     if not rings:
         raise ValueError("need at least one ring")
     factor_atoms = [ring.atoms() for ring in rings]
-    _check_size(prod(map(len, factor_atoms)), limit)  # before any product is built
+    _check_size(prod(map(len, factor_atoms)))  # before any product is built
     ground, atoms = rings[0].ground, factor_atoms[0]
     for ring, right in zip(rings[1:], factor_atoms[1:]):
         ground = product_ground(ground, ring.ground)
         atoms = [product_set(a, b, ground) for a in atoms for b in right]
-    return ring_from_atoms(ground, atoms, limit)
+    return ring_from_atoms(ground, atoms)
 
 
 def has_simple_extension_property(outer: SigmaRingFin, inner: SigmaRingFin) -> bool:
     """True iff inner is a subring of outer and is closed downward inside it:
-    every outer member contained in some inner member is itself inner."""
+    every outer member contained in some inner member is itself inner.
+
+    That holds iff every atom of inner is an atom of outer.  If so, inner's
+    members are unions of outer atoms, and so is any outer member inside
+    one of them.  If not, an inner atom is either no outer member, or split
+    by outer atoms into an outer piece inside inner's union that is not in
+    inner.
+    """
     if outer.ground != inner.ground:
         raise ValueError("rings over different grounds")
-    # inner is closed under union: a set lies in some inner member iff in their union
-    top = reduce(or_, inner.members, 0)
-    return inner.members <= outer.members and all(
-        a in inner.members for a in outer.members if a & ~top == 0
-    )
+    outer_atoms = {a.mask for a in outer.atoms()}
+    return all(a.mask in outer_atoms for a in inner.atoms())

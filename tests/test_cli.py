@@ -2,6 +2,7 @@ import io
 import json
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -63,6 +64,11 @@ EXIT_CODES = {
     "41_product_empty_side": 0,
     "42_fubini_ind_set_alias": 2,
     "43_fubini_ind_group": 2,
+    "44_fubini_null_row_inf_column": 0,
+    "45_name_cycle_set_self": 2,
+    "46_name_cycle_rect_self": 2,
+    "47_name_cycle_forward": 2,
+    "48_product_named_rect_in_rect": 0,
 }
 
 
@@ -359,3 +365,59 @@ class TestSizeLimitEnv:
         buffer = io.StringIO()
         code = run_file(str(spec), "text", out=buffer)
         assert code == 0
+
+
+class TestResolverNames:
+    @pytest.mark.parametrize(
+        "decls, cmd, name",
+        [
+            ("set A = A", "eval L A", "A"),
+            ("set A = B\nset B = [0, 1] & A", "eval L B", "B"),
+            ("rect R = ([0, 1] x [0, 1]) + R", "product L L R", "R"),
+            ("rect R = S\nrect S = R", "product L L R", "R"),
+            ("set A = A\nfn f = ind(A)", "integrate L f", "A"),
+            ("set A = B\nset B = A\nrect R = (A x [0, 1])", "fubini L L ind(R)", "A"),
+        ],
+    )
+    def test_cycle_is_a_name_error(self, decls, cmd, name):
+        doc = parse_spec(f"measure L = lebesgue\n{decls}\ncmd {cmd}\n")
+        with pytest.raises(UnresolvedName, match=f"'{name}' is defined in terms of itself"):
+            run_document(doc)
+
+    def test_shared_name_is_not_a_cycle(self):
+        doc = parse_spec(
+            "measure L = lebesgue\nset A = [0, 1]\nset B = A | (A & [1/2, 2])\n"
+            "rect S = (A x B)\nrect R = S + S + (B x A)\ncmd product L L R\n"
+        )
+        resolver = Resolver(doc)
+        assert resolver.poly_set(doc.sets["B"]) == ("real", RealSet.interval(Fraction(0), Fraction(1)))
+        assert run_document(doc) == ([("value", "1"), ("class", "finite")], 0)
+
+    def test_resolver_is_reusable_after_a_cycle(self):
+        doc = parse_spec("measure L = lebesgue\nset A = A\nset B = [0, 1]\ncmd eval L B\n")
+        resolver = Resolver(doc)
+        with pytest.raises(UnresolvedName):
+            resolver.poly_set(doc.sets["A"])
+        assert resolver.resolving == set()
+        with pytest.raises(UnresolvedName):
+            resolver.poly_set(doc.sets["A"])
+
+    def test_named_rects_make_one_rect_union(self, monkeypatch):
+        from sigma_product import rectset
+
+        doc = parse_spec(
+            "measure L = lebesgue\nrect S = ([0, 2] x [0, 1]) + ([1, 3] x [0, 1])\n"
+            "rect R = S + ([1/2, 4] x [1/2, 2]) + S\ncmd product L L R\n"
+        )
+        built = []
+        init = rectset.RectUnion.__init__
+
+        def counting_init(self, rects, *args, **kwargs):
+            rects = list(rects)
+            built.append(len(rects))
+            init(self, rects, *args, **kwargs)
+
+        monkeypatch.setattr(rectset.RectUnion, "__init__", counting_init)
+        leb = doc.measures["L"]
+        Resolver(doc).rect_union(doc.rects["R"], leb, leb)
+        assert built == [5]

@@ -17,6 +17,8 @@ from sigma_product.integration import (
     is_integrable,
     render_value,
     tensor_functional,
+    _Grid,
+    _integrals,
 )
 from sigma_product.lineset import RealSet
 from sigma_product.measures import (
@@ -382,6 +384,54 @@ class TestFubiniCheck:
                 )
                 want = tuple(ext_sub(p, n) for p, n in zip(pos, neg))
                 assert got == want, (wmu, wnu, coeffs)
+
+
+def fubini_signed_reference(grid, mu_vals, nu_vals, cell_values):
+    """The former exact-rational accumulator for integrable grids: the sum
+    over cells and the outer sums of the row and column slices, skipping
+    the slices of a null row or column, since they may be infinite."""
+    product = Fraction(0)
+    rows, cols = {}, {}
+    for (i, j, c), value in zip(grid.cells, cell_values):
+        product += c * value.finite
+        if not mu_vals[i].is_zero:
+            rows[i] = rows.get(i, 0) + c * nu_vals[j].finite
+        if not nu_vals[j].is_zero:
+            cols[j] = cols.get(j, 0) + c * mu_vals[i].finite
+    by_rows = sum((mu_vals[i].finite * s for i, s in rows.items() if s), Fraction(0))
+    by_cols = sum((nu_vals[j].finite * s for j, s in cols.items() if s), Fraction(0))
+    return product, by_rows, by_cols
+
+
+class TestIntegralsAgainstSignedReference:
+    def test_random_integrable_grids(self):
+        rng = random.Random(12)
+        side_values = [ZERO, ExtNonNeg(1), ExtNonNeg(F(1, 3)), ExtNonNeg(5), INF]
+        coeffs = [F(-3), F(-1), F(-1, 2), F(1, 2), F(1), F(2)]
+        checked = null_meets_inf = 0
+        while checked < 2000:
+            rows, cols = rng.randint(1, 4), rng.randint(1, 4)
+            mu_vals = [rng.choice(side_values) for _ in range(rows)]
+            nu_vals = [rng.choice(side_values) for _ in range(cols)]
+            cells = tuple(
+                (i, j, rng.choice(coeffs))
+                for i in range(rows)
+                for j in range(cols)
+                if rng.random() < 0.6
+            )
+            cell_values = [mu_vals[i] * nu_vals[j] for i, j, _ in cells]
+            if not all(v.is_finite for v in cell_values):
+                continue
+            grid = _Grid(list(range(rows)), list(range(cols)), cells)
+            got = _integrals(grid, mu_vals, nu_vals, cell_values)
+            want = fubini_signed_reference(grid, mu_vals, nu_vals, cell_values)
+            assert got == want, (mu_vals, nu_vals, cells)
+            assert all(type(v) is Fraction for v in got)
+            checked += 1
+            null_meets_inf += any(
+                {mu_vals[i], nu_vals[j]} == {ZERO, INF} for i, j, _ in cells
+            )
+        assert null_meets_inf > 200
 
 
 class TestTensorExhaustiveFiniteGrounds:

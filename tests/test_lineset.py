@@ -240,6 +240,35 @@ class TestRealSetCanonicalForm:
         assert left.intervals == (Interval(F(0), F(2), False, False),)
         assert left.excluded.points == (F(1),)
 
+    def test_endpoint_corrections_fold_in_one_pass(self):
+        none = CountablePart((), ())
+        # two open intervals share the included point 1, and every
+        # endpoint carries a correction
+        raw = RealSet(
+            (
+                Interval(F(0), F(1), True, True),
+                Interval(F(1), F(2), True, True),
+                Interval(F(3), F(4), False, False),
+            ),
+            CountablePart((F(3), F(4)), ()),
+            CountablePart((F(0), F(1), F(2)), ()),
+        )
+        assert raw == iv(0, 2) | iv(3, 4, True, True)
+        assert raw.intervals == (
+            Interval(F(0), F(2), False, False),
+            Interval(F(3), F(4), True, True),
+        )
+        assert raw.excluded == none and raw.included == none
+        # an excluded progression opens both closed endpoints
+        raw = RealSet(
+            (Interval(F(0), F(3), False, False),),
+            CountablePart((), (Progression(F(0), F(1)),)),
+            none,
+        )
+        assert raw == iv(0, 3) - prg(0, 1)
+        assert raw.intervals == (Interval(F(0), F(3), True, True),)
+        assert raw.excluded.points == (F(1), F(2))
+
     def test_degenerate_interval_is_points(self):
         assert iv(5, 5) == pts(5)
 

@@ -161,10 +161,11 @@ class TestProductSizeLimit:
         assert len(prod) == 65536
         assert len(prod.atoms()) == 16
 
-    def test_one_below_the_member_count(self):
+    def test_one_below_the_member_count(self, monkeypatch):
+        monkeypatch.setenv("SIGMA_PRODUCT_SIZE_LIMIT", "65535")
         p4 = power_ring(4)
         with pytest.raises(SizeLimit) as info:
-            product_sigma_ring(p4, p4, limit=65535)
+            product_sigma_ring(p4, p4)
         assert info.value.kind == "size-limit"
         assert str(info.value) == "sigma-ring would exceed 65535 members"
 
@@ -183,11 +184,11 @@ class TestProductSizeLimit:
         monkeypatch.setattr(sigma, "product_ground", unused)
         with pytest.raises(SizeLimit):
             product_sigma_ring_n([p3, p3, p3])
+        monkeypatch.setenv("SIGMA_PRODUCT_SIZE_LIMIT", "511")
         with pytest.raises(SizeLimit):
             finite_product_measure(
                 FiniteTabulated(p3, {a: ExtNonNeg(1) for a in p3.atoms()}),
                 FiniteTabulated(p3, {a: ExtNonNeg(1) for a in p3.atoms()}),
-                limit=511,
             )
 
 

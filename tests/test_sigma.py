@@ -104,11 +104,12 @@ class TestGenerateSigmaRing:
             again = generate_sigma_ring(ground, r1.sets())
             assert again == r1
 
-    def test_size_limit(self):
+    def test_size_limit(self, monkeypatch):
+        monkeypatch.setenv("SIGMA_PRODUCT_SIZE_LIMIT", "100")
         ground = tuple(range(8))
         family = [FinSet(ground, 1 << i) for i in range(8)]
         with pytest.raises(SizeLimit):
-            generate_sigma_ring(ground, family, limit=100)
+            generate_sigma_ring(ground, family)
 
 
 class TestGenerateSigmaAlgebra:
