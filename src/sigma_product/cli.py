@@ -27,10 +27,10 @@ from sigma_product.extreal import INF, ExtNonNeg, render_rational
 from sigma_product.finset import FinSet
 from sigma_product.integration import (
     SimpleFunction,
+    empty_set_for,
     extended_integral,
     fubini_check,
     integrate,
-    is_integrable,
     render_value,
 )
 from sigma_product.lineset import Progression, RealSet
@@ -363,7 +363,7 @@ class LineParser:
         if open_tok.kind == "(":
             save = self.pos
             try:
-                bound = self.parse_bound(low=True)
+                bound = self.parse_bound()
                 if self.peek().kind == ",":
                     return self.finish_interval(open_tok, bound)
             except ParseError:
@@ -372,10 +372,10 @@ class LineParser:
             node = self.parse_set_expr()
             self.expect(")")
             return node
-        bound = self.parse_bound(low=True)
+        bound = self.parse_bound()
         return self.finish_interval(open_tok, bound)
 
-    def parse_bound(self, low: bool) -> Optional[Fraction]:
+    def parse_bound(self) -> Optional[Fraction]:
         tok = self.peek()
         if tok.kind == "ident" and tok.text == "inf":
             self.next()
@@ -391,7 +391,7 @@ class LineParser:
 
     def finish_interval(self, open_tok: Token, lo: Optional[Fraction]):
         self.expect(",")
-        hi = self.parse_bound(low=False)
+        hi = self.parse_bound()
         close_tok = self.peek()
         if close_tok.kind not in ("]", ")"):
             self.fail("expected ']' or ')'")
@@ -622,11 +622,9 @@ class Resolver:
         poly = self.poly_set(node)
         universe = measure.universe
         if poly[0] == "empty":
-            if universe == ("line",):
-                return RealSet.empty()
-            if universe[0] == "fin":
-                return FinSet.empty(universe[1])
-            raise UniverseMismatch("empty set cannot target a product measure")
+            if universe[0] == "prod":
+                raise UniverseMismatch("empty set cannot target a product measure")
+            return empty_set_for(universe)
         if poly[0] == "real":
             if universe != ("line",):
                 raise UniverseMismatch(
@@ -725,15 +723,16 @@ def run_document(doc: SpecDocument) -> Tuple[List[Tuple[str, str]], int]:
     if cmd.name == "integrate":
         measure = resolver.measure(cmd.args[0])
         f = resolver.line_fn(cmd.args[1], measure)
-        if is_integrable(f, measure):
-            return [("value", render_rational(integrate(f, measure)))], 0
-        if not f.nonnegative:
+        if f.nonnegative:
+            # finite or not, the extended integral prints the same text
+            return [("value", str(extended_integral(f, measure)))], 0
+        try:
+            value = integrate(f, measure)
+        except NotIntegrable:
             raise NotIntegrable(
                 "signed integrand with an infinite-measure level set"
-            )
-        # nonnegative integrands fall back to the extended integral
-        value = extended_integral(f, measure)
-        return [("value", str(value))], 0
+            ) from None
+        return [("value", render_rational(value))], 0
     if cmd.name == "fubini":
         left = resolver.measure(cmd.args[0])
         right = resolver.measure(cmd.args[1])

@@ -12,13 +12,15 @@ from fractions import Fraction
 from functools import total_ordering
 from typing import Iterable, TypeAlias, Union
 
+from sigma_product.frozen import Frozen
+
 Rational = Fraction
 
 RationalLike = Union[int, Fraction]
 
 
 @total_ordering
-class ExtNonNeg:
+class ExtNonNeg(Frozen):
     """A nonnegative rational, or infinity.
 
     Supports ``+``, ``*`` and total ordering.  The canonical text form is
@@ -34,9 +36,6 @@ class ExtNonNeg:
             if value < 0:
                 raise ValueError(f"extended value must be nonnegative, got {value}")
         object.__setattr__(self, "_value", value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ExtNonNeg is immutable")
 
     @staticmethod
     def of(value: RationalLike | ExtNonNeg) -> ExtNonNeg:

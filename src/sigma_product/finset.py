@@ -5,12 +5,13 @@ from __future__ import annotations
 from typing import Hashable, Iterable, Iterator, Sequence, Tuple
 
 from sigma_product.errors import UniverseMismatch
+from sigma_product.frozen import Frozen
 
 Label = Hashable
 Ground = Tuple[Label, ...]
 
 
-class FinSet:
+class FinSet(Frozen):
     """An immutable subset of a fixed finite ground tuple.
 
     Two sets are only comparable/combinable when their grounds are equal
@@ -27,9 +28,6 @@ class FinSet:
             raise ValueError("mask outside ground range")
         object.__setattr__(self, "ground", ground)
         object.__setattr__(self, "mask", mask)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FinSet is immutable")
 
     @staticmethod
     def of(ground: Sequence[Label], labels: Iterable[Label]) -> FinSet:
@@ -89,14 +87,6 @@ class FinSet:
     def __le__(self, other: FinSet) -> bool:
         self._check(other)
         return self.mask & ~other.mask == 0
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, FinSet):
-            return NotImplemented
-        return self.ground == other.ground and self.mask == other.mask
-
-    def __hash__(self) -> int:
-        return hash((self.ground, self.mask))
 
     def labels(self) -> Tuple[Label, ...]:
         return tuple(self)

@@ -18,6 +18,7 @@ from sigma_product.errors import (
 )
 from sigma_product.extreal import INF, ZERO, ExtNonNeg, ext_sum, render_rational
 from sigma_product.finset import FinSet
+from sigma_product.frozen import Frozen
 from sigma_product.lineset import RealSet
 from sigma_product.measures import (
     FINITE,
@@ -54,7 +55,7 @@ def empty_set_for(universe: tuple):
     return RectUnion.empty()
 
 
-class SimpleFunction:
+class SimpleFunction(Frozen):
     """A finite-valued function with representable level sets."""
 
     __slots__ = ("terms", "universe")
@@ -75,9 +76,6 @@ class SimpleFunction:
         canonical = _level_sets([(Fraction(c), s) for c, s in terms])
         object.__setattr__(self, "terms", canonical)
         object.__setattr__(self, "universe", universe)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SimpleFunction is immutable")
 
     @staticmethod
     def zero(universe: Optional[tuple] = None) -> "SimpleFunction":
@@ -192,12 +190,15 @@ def is_integrable(f: SimpleFunction, m: Measure) -> bool:
 
 
 def integrate(f: SimpleFunction, m: Measure) -> Fraction:
-    """Exact signed integral of an integrable simple function."""
-    if not is_integrable(f, m):
-        raise NotIntegrable("a level set has infinite measure")
+    """Exact signed integral of an integrable simple function; each level
+    set is measured once."""
+    _check_function_universe(f, m)
     total = Fraction(0)
     for c, s in f.terms:
-        total += c * m.measure(s).finite
+        value = m.measure(s)
+        if not value.is_finite:
+            raise NotIntegrable("a level set has infinite measure")
+        total += c * value.finite
     return total
 
 
@@ -286,7 +287,7 @@ ALL_EQUAL = "all-equal"
 HYPOTHESIS_VIOLATED = "hypothesis-violated"
 
 
-class IntegralReport:
+class IntegralReport(Frozen):
     """The product integral and both iterated integrals, plus a verdict.
 
     Values are exact: a signed rational, a nonnegative extended value, or
@@ -308,24 +309,6 @@ class IntegralReport:
         object.__setattr__(self, "iterated_ts", iterated_ts)
         object.__setattr__(self, "verdict", verdict)
         object.__setattr__(self, "reason", reason)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("IntegralReport is immutable")
-
-    def _fields(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, IntegralReport):
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self):
-        return hash(self._fields())
-
-    def __repr__(self):
-        body = ", ".join(f"{n}={getattr(self, n)!r}" for n in self.__slots__)
-        return f"IntegralReport({body})"
 
     @property
     def all_equal(self) -> bool:

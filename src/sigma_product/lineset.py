@@ -22,6 +22,7 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 
 from sigma_product.errors import SizeLimit
 from sigma_product.extreal import render_rational
+from sigma_product.frozen import Frozen
 from sigma_product.sigma import size_limit
 
 
@@ -45,7 +46,7 @@ def _fmod(x: Fraction, period: Fraction) -> Fraction:
 # Intervals
 
 
-class Interval:
+class Interval(Frozen):
     """A nonempty real interval; ``None`` endpoints are unbounded (and open)."""
 
     __slots__ = ("lo", "hi", "lo_open", "hi_open")
@@ -66,28 +67,6 @@ class Interval:
         object.__setattr__(self, "hi", hi)
         object.__setattr__(self, "lo_open", lo_open)
         object.__setattr__(self, "hi_open", hi_open)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Interval is immutable")
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Interval):
-            return NotImplemented
-        return (
-            self.lo == other.lo
-            and self.hi == other.hi
-            and self.lo_open == other.lo_open
-            and self.hi_open == other.hi_open
-        )
-
-    def __hash__(self):
-        return hash((self.lo, self.hi, self.lo_open, self.hi_open))
-
-    def __repr__(self):
-        return (
-            f"Interval(lo={self.lo!r}, hi={self.hi!r}, "
-            f"lo_open={self.lo_open!r}, hi_open={self.hi_open!r})"
-        )
 
     @property
     def degenerate(self) -> bool:
@@ -241,7 +220,7 @@ def iu_complement(intervals: Sequence[Interval]) -> Tuple[Interval, ...]:
 # Progressions and countable parts
 
 
-class Progression:
+class Progression(Frozen):
     """The point set {base + k*step : k = 0, 1, 2, ...}, step > 0."""
 
     __slots__ = ("base", "step")
@@ -251,20 +230,6 @@ class Progression:
             raise ValueError("progression step must be positive")
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "step", step)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Progression is immutable")
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Progression):
-            return NotImplemented
-        return self.base == other.base and self.step == other.step
-
-    def __hash__(self):
-        return hash((self.base, self.step))
-
-    def __repr__(self):
-        return f"Progression(base={self.base!r}, step={self.step!r})"
 
     def member(self, x: Fraction) -> bool:
         k = (x - self.base) / self.step
@@ -302,7 +267,7 @@ def _divisors_desc(n: int) -> List[int]:
     return [d for d in range(n, 0, -1) if n % d == 0]
 
 
-class CountablePart:
+class CountablePart(Frozen):
     """A finite set of points plus finitely many progressions, canonical.
 
     In canonical form all progressions share the set's minimal eventual
@@ -315,17 +280,6 @@ class CountablePart:
     def __init__(self, points: Tuple[Fraction, ...], progressions: Tuple[Progression, ...]):
         object.__setattr__(self, "points", points)
         object.__setattr__(self, "progressions", progressions)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("CountablePart is immutable")
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, CountablePart):
-            return NotImplemented
-        return self.points == other.points and self.progressions == other.progressions
-
-    def __hash__(self):
-        return hash((self.points, self.progressions))
 
     def __repr__(self):
         bits = [render_rational(p) for p in self.points]
@@ -560,26 +514,12 @@ def _merge_coset(
 # Real-line sets
 
 
-class Cardinality:
+class Cardinality(Frozen):
     __slots__ = ("kind", "count")
 
     def __init__(self, kind: str, count: Optional[int] = None):
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "count", count)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Cardinality is immutable")
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Cardinality):
-            return NotImplemented
-        return self.kind == other.kind and self.count == other.count
-
-    def __hash__(self):
-        return hash((self.kind, self.count))
-
-    def __repr__(self):
-        return f"Cardinality(kind={self.kind!r}, count={self.count!r})"
 
     @staticmethod
     def finite(n: int) -> "Cardinality":
@@ -596,7 +536,7 @@ COUNTABLE_CARD = Cardinality("countably-infinite")
 UNCOUNTABLE_CARD = Cardinality("uncountable")
 
 
-class RealSet:
+class RealSet(Frozen):
     """A representable subset of the real line, always in canonical form."""
 
     __slots__ = ("intervals", "excluded", "included")
@@ -618,9 +558,6 @@ class RealSet:
         object.__setattr__(self, "intervals", intervals)
         object.__setattr__(self, "excluded", excluded)
         object.__setattr__(self, "included", included)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RealSet is immutable")
 
     # -- constructors
 
@@ -741,18 +678,6 @@ class RealSet:
 
     def __le__(self, other: "RealSet") -> bool:
         return (self - other).is_empty
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, RealSet):
-            return NotImplemented
-        return (
-            self.intervals == other.intervals
-            and self.excluded == other.excluded
-            and self.included == other.included
-        )
-
-    def __hash__(self):
-        return hash((self.intervals, self.excluded, self.included))
 
     # -- rendering
 

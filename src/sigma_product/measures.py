@@ -400,38 +400,22 @@ class SigmaFiniteComponent(Measure):
         return f"component({self.base.render()})"
 
 
-class InfinityExtension(Measure):
+class InfinityExtension(FiniteTabulated):
     """Extension of a measure on an inner sigma-ring to an outer one by
     assigning infinity off the inner ring.  Requires the pair to have the
-    simple extension property."""
+    simple extension property, under which every inner atom is an outer
+    atom: the extension is the table on the outer ring that keeps the
+    inner atoms' weights and gives every other outer atom infinity."""
 
     def __init__(self, inner: FiniteTabulated, outer: SigmaRingFin):
         if not has_simple_extension_property(outer, inner.ring):
             raise PropertyViolated(
                 "pair of sigma-rings lacks the simple extension property"
             )
+        super().__init__(outer, {
+            atom: inner._weights.get(atom.mask, INF) for atom in outer.atoms()
+        })
         self.inner = inner
-        self.outer = outer
-
-    @property
-    def universe(self) -> tuple:
-        return ("fin", self.outer.ground)
-
-    def measure(self, a: FinSet) -> ExtNonNeg:
-        self.check_universe(a)
-        if a not in self.outer:
-            raise NotMeasurable(f"{a!r} is not in the outer sigma-ring")
-        if a in self.inner.ring:
-            return self.inner.measure(a)
-        return INF
-
-    def finiteness(self, a: FinSet) -> FinitenessClass:
-        self.check_universe(a)
-        if a not in self.outer:
-            raise NotMeasurable(f"{a!r} is not in the outer sigma-ring")
-        if a in self.inner.ring:
-            return self.inner.finiteness(a)
-        return NOT_SIGMA_FINITE
 
     def render(self) -> str:
         return f"extension({self.inner.render()})"

@@ -12,6 +12,7 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 
 from sigma_product.errors import UniverseMismatch
 from sigma_product.finset import FinSet
+from sigma_product.frozen import Frozen
 from sigma_product.lineset import RealSet
 
 LINE_UNIVERSE = ("line",)
@@ -68,7 +69,7 @@ def refine_parts(sets: Sequence) -> List:
     return parts
 
 
-class RectUnion:
+class RectUnion(Frozen):
     """A finite union of rectangles, stored pairwise disjoint."""
 
     __slots__ = ("rects", "left_universe", "right_universe")
@@ -92,9 +93,6 @@ class RectUnion:
         object.__setattr__(self, "rects", tuple(pieces))
         object.__setattr__(self, "left_universe", left_universe)
         object.__setattr__(self, "right_universe", right_universe)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RectUnion is immutable")
 
     @staticmethod
     def of(*rects: Tuple[object, object]) -> "RectUnion":

@@ -20,6 +20,7 @@ from typing import Iterable, List, Sequence
 
 from sigma_product.errors import SizeLimit
 from sigma_product.finset import FinSet, Ground, product_ground, product_set
+from sigma_product.frozen import Frozen
 
 DEFAULT_SIZE_LIMIT = 1 << 16
 SIZE_LIMIT_ENV = "SIGMA_PRODUCT_SIZE_LIMIT"
@@ -38,7 +39,7 @@ def size_limit() -> int:
     return value
 
 
-class SigmaRingFin:
+class SigmaRingFin(Frozen):
     """A sigma-ring over a finite ground, all members enumerated.
 
     Members are stored as masks; the empty set is always present and the
@@ -61,9 +62,6 @@ class SigmaRingFin:
         object.__setattr__(self, "ground", ground)
         object.__setattr__(self, "members", members)
         object.__setattr__(self, "_atoms", None)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SigmaRingFin is immutable")
 
     def __len__(self) -> int:
         return len(self.members)

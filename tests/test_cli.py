@@ -1,5 +1,6 @@
 import io
 import json
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -69,6 +70,8 @@ EXIT_CODES = {
     "46_name_cycle_rect_self": 2,
     "47_name_cycle_forward": 2,
     "48_product_named_rect_in_rect": 0,
+    "49_integrate_nonnegative_levels": 0,
+    "50_integrate_atomic_geometric": 0,
 }
 
 
@@ -133,6 +136,19 @@ class TestJsonFormat:
         assert code == 2
         data = json.loads(out)
         assert data["error"]["kind"] == "name-error"
+
+    @pytest.mark.parametrize("name", sorted(EXIT_CODES))
+    def test_json_mirrors_text_for_every_golden(self, name):
+        spec = GOLDEN / f"{name}.spec"
+        text, text_code = run_capture(spec)
+        data, json_code = run_capture(spec, "json")
+        assert json_code == text_code
+        error = re.fullmatch(r"error: ([a-z-]+): (.*)\n", text, re.DOTALL)
+        if error:
+            expected = {"error": {"kind": error[1], "message": error[2]}}
+        else:
+            expected = dict(line.split(" = ", 1) for line in text.splitlines())
+        assert json.loads(data) == expected
 
     def test_json_values_are_exact_strings(self):
         out, _ = run_capture(GOLDEN / "22_integrate_counting_points.spec", "json")

@@ -3,7 +3,12 @@ from fractions import Fraction
 
 import pytest
 
-from sigma_product.errors import NotMeasurable, PropertyViolated, UniverseMismatch
+from sigma_product.errors import (
+    NotMeasurable,
+    PropertyViolated,
+    SigmaProductError,
+    UniverseMismatch,
+)
 from sigma_product.extreal import INF, ZERO, ExtNonNeg
 from sigma_product.finset import FinSet
 from sigma_product.lineset import Progression, RealSet
@@ -19,9 +24,14 @@ from sigma_product.measures import (
     GeometricWeights,
     InfinityExtension,
     LebesgueLine,
+    Measure,
 )
 from sigma_product.oracle import oracle_sigma_closure
-from sigma_product.sigma import generate_sigma_algebra, generate_sigma_ring
+from sigma_product.sigma import (
+    generate_sigma_algebra,
+    generate_sigma_ring,
+    has_simple_extension_property,
+)
 
 F = Fraction
 
@@ -42,6 +52,32 @@ def prg(base, step):
 
 LEB = LebesgueLine()
 CNT = CountingLine()
+WEIGHTS = (ZERO, ExtNonNeg(1), ExtNonNeg(F(5, 2)), INF)
+
+
+def random_ring(rng, ground):
+    family = [FinSet(ground, rng.randrange(1 << len(ground))) for _ in range(rng.randint(1, 3))]
+    return generate_sigma_ring(ground, family)
+
+
+def random_table(rng, ring):
+    return FiniteTabulated(ring, {atom: rng.choice(WEIGHTS) for atom in ring.atoms()})
+
+
+def random_extension_pair(rng, ground):
+    """An inner table and an outer ring with the simple extension property:
+    the inner ring is generated by some of the outer ring's atoms."""
+    outer = random_ring(rng, ground)
+    chosen = [atom for atom in outer.atoms() if rng.random() < 0.6]
+    return random_table(rng, generate_sigma_ring(ground, chosen)), outer
+
+
+def outcome(call, s):
+    """(result, None), or (None, error kind) when the call raises."""
+    try:
+        return call(s), None
+    except SigmaProductError as exc:
+        return None, exc.kind
 
 
 class TestLebesgue:
@@ -258,15 +294,40 @@ class TestSigmaAdditivityRandomised:
                 assert m.measure(a | b) == m.measure(a) + m.measure(b)
 
     def test_finite_class_iff_finite_value(self):
+        """A set's class is finite exactly when its value is, and measure
+        and finiteness raise on the same sets."""
         rng = random.Random(77)
         atomic = CountableAtomic(point_masses=[(F(1), INF)])
-        measures = [LEB, CNT, DiracAt(F(0)), atomic]
+        constant_inf = CountableAtomic(
+            point_masses=[(F(1), ExtNonNeg(2))],
+            progression_weights=[
+                (Progression(F(1, 2), F(3)), ConstantWeights(INF)),
+                (Progression(F(0), F(3)), ConstantWeights(ExtNonNeg(2))),
+            ],
+        )
+        line = [LEB, CNT, DiracAt(F(0)), atomic, constant_inf]
+        line += [m.sigma_finite_component() for m in line]
         from test_lineset import random_realset
 
+        cases = []
         for _ in range(120):
             s = random_realset(rng)
-            for m in measures:
-                assert (m.finiteness(s) is FINITE) == m.measure(s).is_finite
+            cases += [(m, s) for m in line]
+        ground = (0, 1, 2, 3)
+        for _ in range(30):
+            table = random_table(rng, random_ring(rng, ground))
+            ext = InfinityExtension(*random_extension_pair(rng, ground))
+            for m in (table, table.sigma_finite_component(), ext):
+                cases += [(m, FinSet(ground, mask)) for mask in range(16)]
+        kinds = set()
+        for m, s in cases:
+            value, value_error = outcome(m.measure, s)
+            cls, class_error = outcome(m.finiteness, s)
+            assert value_error == class_error
+            if value_error is None:
+                assert (cls is FINITE) == value.is_finite
+            kinds.add(value_error)
+        assert kinds == {None, "not-measurable"}
 
 
 class TestSigmaFiniteSubsetClosure:
@@ -347,7 +408,63 @@ class TestSigmaFiniteComponent:
         assert got == closure
 
 
+class ReferenceExtension(Measure):
+    """The extension by its definition: the inner measure on the inner
+    ring, infinity on the rest of the outer ring."""
+
+    def __init__(self, inner: FiniteTabulated, outer):
+        if not has_simple_extension_property(outer, inner.ring):
+            raise PropertyViolated(
+                "pair of sigma-rings lacks the simple extension property"
+            )
+        self.inner = inner
+        self.outer = outer
+
+    @property
+    def universe(self) -> tuple:
+        return ("fin", self.outer.ground)
+
+    def measure(self, a: FinSet) -> ExtNonNeg:
+        self.check_universe(a)
+        if a not in self.outer:
+            raise NotMeasurable(f"{a!r} is not in the outer sigma-ring")
+        if a in self.inner.ring:
+            return self.inner.measure(a)
+        return INF
+
+    def finiteness(self, a: FinSet):
+        self.check_universe(a)
+        if a not in self.outer:
+            raise NotMeasurable(f"{a!r} is not in the outer sigma-ring")
+        if a in self.inner.ring:
+            return self.inner.finiteness(a)
+        return NOT_SIGMA_FINITE
+
+
 class TestInfinityExtension:
+    def test_matches_the_reference_definition(self):
+        rng = random.Random(2024)
+        checked = 0
+        for n in (3, 4, 5):
+            ground = tuple(range(n))
+            for _ in range(40):
+                inner, outer = random_extension_pair(rng, ground)
+                ext, ref = InfinityExtension(inner, outer), ReferenceExtension(inner, outer)
+                assert ext.ring == outer and ext.render() == f"extension({inner.render()})"
+                for mask in range(1 << n):
+                    s = FinSet(ground, mask)
+                    for got, want in ((ext.measure, ref.measure), (ext.finiteness, ref.finiteness)):
+                        assert outcome(got, s) == outcome(want, s)
+                    checked += mask in outer.members and mask not in inner.ring.members
+                atoms = outer.atoms()
+                if len(atoms) >= 2:
+                    merged = generate_sigma_ring(ground, [atoms[0] | atoms[1]])
+                    table = random_table(rng, merged)
+                    for build in (InfinityExtension, ReferenceExtension):
+                        with pytest.raises(PropertyViolated):
+                            build(table, outer)
+        assert checked > 100  # outer members off the inner ring
+
     def test_spec_example(self):
         g = (1, 2)
         inner_ring = generate_sigma_ring(g, [FinSet.of(g, [1])])
