@@ -603,11 +603,14 @@ class Resolver:
 
     def poly_set(self, node):
         """Resolve to ('real', RealSet) | ('labels', labels) | ('empty',)."""
-        if isinstance(node, tuple):
-            return node
-        if isinstance(node, SetOp):
-            return self._combine(node.op, self.poly_set(node.left), self.poly_set(node.right))
-        return self.follow(node, "set", self.poly_set)
+        spine = []
+        while isinstance(node, SetOp):  # the parser nests operator chains on the left
+            spine.append(node)
+            node = node.left
+        value = node if isinstance(node, tuple) else self.follow(node, "set", self.poly_set)
+        for op_node in reversed(spine):
+            value = self._combine(op_node.op, value, self.poly_set(op_node.right))
+        return value
 
     def _combine(self, op, a, b):
         if a[0] == "empty":

@@ -54,6 +54,10 @@ class FinSet(Frozen):
             raise UniverseMismatch("operands live over different grounds")
 
     @property
+    def universe(self) -> tuple:
+        return ("fin", self.ground)
+
+    @property
     def is_empty(self) -> bool:
         return self.mask == 0
 
@@ -65,12 +69,14 @@ class FinSet(Frozen):
             if self.mask >> i & 1:
                 yield label
 
-    def __contains__(self, label: Label) -> bool:
+    def member(self, label: Label) -> bool:
         try:
             i = self.ground.index(label)
         except ValueError:
             return False
         return bool(self.mask >> i & 1)
+
+    __contains__ = member
 
     def __or__(self, other: FinSet) -> FinSet:
         self._check(other)
@@ -88,11 +94,10 @@ class FinSet(Frozen):
         self._check(other)
         return self.mask & ~other.mask == 0
 
-    def labels(self) -> Tuple[Label, ...]:
-        return tuple(self)
-
-    def __repr__(self) -> str:
+    def render(self) -> str:
         return "{" + ", ".join(str(x) for x in self) + "}"
+
+    __repr__ = render
 
 
 def product_ground(g1: Sequence[Label], g2: Sequence[Label]) -> Ground:

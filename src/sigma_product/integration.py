@@ -25,13 +25,7 @@ from sigma_product.measures import (
     NOT_SIGMA_FINITE,
     Measure,
 )
-from sigma_product.rectset import (
-    RectUnion,
-    rect_grid,
-    refine_parts,
-    set_member,
-    universe_of,
-)
+from sigma_product.rectset import RectUnion, rect_grid, refine_parts
 
 class _NegativeInfinity:
     """Sentinel for diagnostic values of the form finite - infinity."""
@@ -66,7 +60,7 @@ class SimpleFunction(Frozen):
         universe: Optional[tuple] = None,
     ):
         for _, s in terms:
-            u = universe_of(s)
+            u = s.universe
             if universe is None:
                 universe = u
             elif u != universe and not (
@@ -95,7 +89,7 @@ class SimpleFunction(Frozen):
 
     def value_at(self, x) -> Fraction:
         for c, s in self.terms:
-            if set_member(s, x):
+            if s.member(x):
                 return c
         return Fraction(0)
 
@@ -150,8 +144,7 @@ class SimpleFunction(Frozen):
             return "0"
         bits = []
         for c, s in self.terms:
-            body = s.render() if hasattr(s, "render") else repr(s)
-            bits.append(f"{render_rational(c)}*ind({body})")
+            bits.append(f"{render_rational(c)}*ind({s.render()})")
         return " + ".join(bits)
 
     def __repr__(self):
@@ -185,14 +178,14 @@ def _level_sets(terms: List[Tuple[Fraction, object]]):
 
 def is_integrable(f: SimpleFunction, m: Measure) -> bool:
     """Integrable iff every nonzero level set has finite measure."""
-    _check_function_universe(f, m)
+    _check_universe(f, m.universe)
     return all(m.finiteness(s) is FINITE for _, s in f.terms)
 
 
 def integrate(f: SimpleFunction, m: Measure) -> Fraction:
     """Exact signed integral of an integrable simple function; each level
     set is measured once."""
-    _check_function_universe(f, m)
+    _check_universe(f, m.universe)
     total = Fraction(0)
     for c, s in f.terms:
         value = m.measure(s)
@@ -204,7 +197,7 @@ def integrate(f: SimpleFunction, m: Measure) -> Fraction:
 
 def extended_integral(f: SimpleFunction, m: Measure) -> ExtNonNeg:
     """Integral of a nonnegative simple function, allowing infinity."""
-    _check_function_universe(f, m)
+    _check_universe(f, m.universe)
     if not f.nonnegative:
         raise ValueError("extended integral requires nonnegative coefficients")
     total = ZERO
@@ -221,8 +214,8 @@ def ae_equal(f: SimpleFunction, g: SimpleFunction, m: Measure) -> bool:
     return m.measure(diff.support()) == ZERO
 
 
-def _check_function_universe(f: SimpleFunction, m: Measure) -> None:
-    if f.universe is not None and f.universe != m.universe:
+def _check_universe(f: SimpleFunction, universe: tuple) -> None:
+    if f.universe is not None and f.universe != universe:
         raise UniverseMismatch("function and measure over different universes")
 
 
@@ -254,7 +247,7 @@ def _product_grid(f: SimpleFunction) -> _Grid:
 
 def _measured_grid(f: SimpleFunction, mu: Measure, nu: Measure):
     """The product grid of f, with the measure of each side part."""
-    _check_product_universe(f, mu, nu)
+    _check_universe(f, ("prod", mu.universe, nu.universe))
     grid = _product_grid(f)
     return grid, [mu.measure(a) for a in grid.a_parts], [nu.measure(b) for b in grid.b_parts]
 
@@ -271,12 +264,6 @@ def tensor_functional(f: SimpleFunction, mu: Measure, nu: Measure) -> Fraction:
     direct, by_rows, by_cols = _integrals(grid, mu_vals, nu_vals, cell_values)
     assert direct == by_rows == by_cols, "slicing orders disagree"
     return direct
-
-
-def _check_product_universe(f: SimpleFunction, mu: Measure, nu: Measure) -> None:
-    expected = ("prod", mu.universe, nu.universe)
-    if f.universe is not None and f.universe != expected:
-        raise UniverseMismatch("function is not over the product universe")
 
 
 # ---------------------------------------------------------------------------

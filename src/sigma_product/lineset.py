@@ -25,6 +25,8 @@ from sigma_product.extreal import render_rational
 from sigma_product.frozen import Frozen
 from sigma_product.sigma import size_limit
 
+LINE_UNIVERSE = ("line",)
+
 
 def _gcd_fractions(a: Fraction, b: Fraction) -> Fraction:
     return Fraction(
@@ -540,6 +542,7 @@ class RealSet(Frozen):
     """A representable subset of the real line, always in canonical form."""
 
     __slots__ = ("intervals", "excluded", "included")
+    universe = LINE_UNIVERSE
 
     def __init__(
         self,

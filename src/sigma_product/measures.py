@@ -21,8 +21,8 @@ from sigma_product.extreal import (
     render_rational,
 )
 from sigma_product.finset import FinSet
-from sigma_product.lineset import CountablePart, Progression, RealSet
-from sigma_product.rectset import LINE_UNIVERSE, render_universe, universe_of
+from sigma_product.lineset import LINE_UNIVERSE, CountablePart, Progression, RealSet
+from sigma_product.rectset import render_universe
 from sigma_product.sigma import (
     SigmaRingFin,
     has_simple_extension_property,
@@ -52,9 +52,9 @@ class Measure:
     universe: tuple = ()
 
     def check_universe(self, a) -> None:
-        if universe_of(a) != self.universe:
+        if a.universe != self.universe:
             raise UniverseMismatch(
-                f"set over {render_universe(universe_of(a))}, "
+                f"set over {render_universe(a.universe)}, "
                 f"measure over {render_universe(self.universe)}"
             )
 

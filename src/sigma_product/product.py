@@ -22,7 +22,7 @@ from sigma_product.measures import (
     FiniteTabulated,
     Measure,
 )
-from sigma_product.rectset import RectUnion, universe_of
+from sigma_product.rectset import RectUnion
 from sigma_product.sigma import product_sigma_ring
 
 
@@ -43,7 +43,7 @@ class ProductMeasure(Measure):
             raise UniverseMismatch("product measures evaluate rectangle unions")
         if u.is_empty:
             return
-        if universe_of(u) != self.universe:
+        if u.universe != self.universe:
             raise UniverseMismatch("rectangle union over different component universes")
 
     def rect_class(self, a, b) -> FinitenessClass:

@@ -1,9 +1,12 @@
 """Finite unions of rectangles A x B over two component universes.
 
-Components may be real-line sets, finite-ground sets, or rectangle
-unions themselves (which is how triple products are formed).  The
-canonical form keeps rectangles pairwise disjoint and nonempty; equality
-is point-set equality, not structural equality of the decomposition.
+A side is any set that reports its ``universe``, ``member`` and
+``render``: a real-line set, a finite-ground set, or a rectangle union
+itself (which is how triple products are formed).  A union stores its
+universe ``("prod", left, right)`` once; only ``RectUnion.empty()`` has
+none.  The canonical form keeps rectangles pairwise disjoint and
+nonempty; equality is point-set equality, not structural equality of the
+decomposition.
 """
 
 from __future__ import annotations
@@ -11,21 +14,7 @@ from __future__ import annotations
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from sigma_product.errors import UniverseMismatch
-from sigma_product.finset import FinSet
 from sigma_product.frozen import Frozen
-from sigma_product.lineset import RealSet
-
-LINE_UNIVERSE = ("line",)
-
-
-def universe_of(s) -> tuple:
-    if isinstance(s, RealSet):
-        return LINE_UNIVERSE
-    if isinstance(s, FinSet):
-        return ("fin", s.ground)
-    if isinstance(s, RectUnion):
-        return ("prod", s.left_universe, s.right_universe)
-    raise TypeError(f"not a set: {s!r}")
 
 
 def render_universe(u: tuple) -> str:
@@ -36,16 +25,6 @@ def render_universe(u: tuple) -> str:
     if u[0] == "fin":
         return "ground(" + ", ".join(str(x) for x in u[1]) + ")"
     return f"({render_universe(u[1])} x {render_universe(u[2])})"
-
-
-def set_member(s, x) -> bool:
-    if isinstance(s, RealSet):
-        return s.member(x)
-    if isinstance(s, FinSet):
-        return x in s
-    if isinstance(s, RectUnion):
-        return s.member(x)
-    raise TypeError(f"not a set: {s!r}")
 
 
 def refine_parts(sets: Sequence) -> List:
@@ -72,27 +51,25 @@ def refine_parts(sets: Sequence) -> List:
 class RectUnion(Frozen):
     """A finite union of rectangles, stored pairwise disjoint."""
 
-    __slots__ = ("rects", "left_universe", "right_universe")
+    __slots__ = ("rects", "universe")
 
     def __init__(
         self,
         rects: Iterable[Tuple[object, object]],
-        left_universe: Optional[tuple] = None,
-        right_universe: Optional[tuple] = None,
+        universe: Optional[tuple] = None,
         _canonical: bool = False,
     ):
         pieces = list(rects)
         for a, b in pieces:
-            lu, ru = universe_of(a), universe_of(b)
-            if left_universe is None:
-                left_universe, right_universe = lu, ru
-            elif (lu, ru) != (left_universe, right_universe):
+            u = ("prod", a.universe, b.universe)
+            if universe is None:
+                universe = u
+            elif u != universe:
                 raise UniverseMismatch("rectangle sides over mixed universes")
         if not _canonical:
             pieces = _disjoint_pieces(pieces)
         object.__setattr__(self, "rects", tuple(pieces))
-        object.__setattr__(self, "left_universe", left_universe)
-        object.__setattr__(self, "right_universe", right_universe)
+        object.__setattr__(self, "universe", universe)
 
     @staticmethod
     def of(*rects: Tuple[object, object]) -> "RectUnion":
@@ -108,15 +85,12 @@ class RectUnion(Frozen):
 
     def member(self, pair) -> bool:
         x, y = pair
-        return any(set_member(a, x) and set_member(b, y) for a, b in self.rects)
+        return any(a.member(x) and b.member(y) for a, b in self.rects)
 
     def _compatible(self, other: "RectUnion") -> None:
         if self.is_empty or other.is_empty:
             return
-        if (self.left_universe, self.right_universe) != (
-            other.left_universe,
-            other.right_universe,
-        ):
+        if self.universe != other.universe:
             raise UniverseMismatch("rectangle unions over different universes")
 
     def __and__(self, other: "RectUnion") -> "RectUnion":
@@ -130,31 +104,24 @@ class RectUnion(Frozen):
                 b = b1 & b2
                 if not b.is_empty:
                     pieces.append((a, b))
-        return RectUnion(
-            pieces, self.left_universe, self.right_universe, _canonical=True
-        )
+        return RectUnion(pieces, self.universe, _canonical=True)
 
     def __sub__(self, other: "RectUnion") -> "RectUnion":
         self._compatible(other)
-        return RectUnion(
-            _subtract(list(self.rects), other.rects),
-            self.left_universe,
-            self.right_universe,
-            _canonical=True,
-        )
+        pieces = _subtract(list(self.rects), other.rects)
+        return RectUnion(pieces, self.universe, _canonical=True)
 
     def __or__(self, other: "RectUnion") -> "RectUnion":
         self._compatible(other)
-        lu = self.left_universe if self.left_universe is not None else other.left_universe
-        ru = self.right_universe if self.right_universe is not None else other.right_universe
-        return RectUnion(
-            self.rects + (other - self).rects, lu, ru, _canonical=True
-        )
+        universe = self.universe if self.rects else (other.universe or self.universe)
+        return RectUnion(self.rects + (other - self).rects, universe, _canonical=True)
 
     def __eq__(self, other) -> bool:
         """Point-set equality; the decomposition itself is not canonical."""
         if not isinstance(other, RectUnion):
             return NotImplemented
+        if self.rects and other.rects and self.universe != other.universe:
+            return False
         return (self - other).is_empty and (other - self).is_empty
 
     def __hash__(self):
@@ -163,16 +130,10 @@ class RectUnion(Frozen):
     def render(self) -> str:
         if self.is_empty:
             return "()"
-        return " + ".join(f"({_render_side(a)} x {_render_side(b)})" for a, b in self.rects)
+        return " + ".join(f"({a.render()} x {b.render()})" for a, b in self.rects)
 
     def __repr__(self):
         return f"RectUnion({self.render()})"
-
-
-def _render_side(s) -> str:
-    if isinstance(s, (RealSet, RectUnion)):
-        return s.render()
-    return repr(s)
 
 
 def _subtract(pieces: List[Tuple[object, object]], rects) -> List[Tuple[object, object]]:
@@ -226,4 +187,4 @@ def rect_disjointify(u: RectUnion) -> RectUnion:
     refining along every A-side and B-side boundary."""
     a_parts, b_parts, cover = rect_grid(u.rects)
     cells = [(a_parts[i], b_parts[j]) for i, j, _ in cover]
-    return RectUnion(cells, u.left_universe, u.right_universe, _canonical=True)
+    return RectUnion(cells, u.universe, _canonical=True)

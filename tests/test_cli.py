@@ -437,3 +437,32 @@ class TestResolverNames:
         leb = doc.measures["L"]
         Resolver(doc).rect_union(doc.rects["R"], leb, leb)
         assert built == [5]
+
+
+class TestFlatOperatorChains:
+    """The parser nests an operator chain on the left, so the resolver must
+    not recurse once per operator."""
+
+    TERMS = 1100
+
+    @pytest.mark.parametrize(
+        "expr, lines",
+        [
+            (lambda n: " | ".join(["[0, 1]"] * n), ["value = 1", "class = finite"]),
+            (
+                lambda n: "[0, 3]" + "".join(f" \\ {{{k}}}" for k in range(n - 1)),
+                ["value = 3", "class = finite"],
+            ),
+            (
+                lambda n: " & ".join(f"(-inf, {5000 - k}]" for k in range(n)),
+                ["value = inf", "class = sigma-finite"],
+            ),
+        ],
+        ids=["union", "difference", "intersection"],
+    )
+    def test_long_chain_resolves(self, tmp_path, expr, lines):
+        spec = tmp_path / "chain.spec"
+        spec.write_text(f"measure L = lebesgue\nset A = {expr(self.TERMS)}\ncmd eval L A\n")
+        buffer = io.StringIO()
+        assert run_file(str(spec), "text", out=buffer) == 0
+        assert buffer.getvalue().splitlines() == lines

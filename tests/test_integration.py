@@ -88,6 +88,34 @@ class TestCanonicalForm:
         assert f.value_at((F(1), F(1))) == 0
 
 
+class TestEmptyUnionOfUnknownUniverse:
+    """``RectUnion.empty()`` has no universe, so it neither sets nor
+    contradicts the universe of a function."""
+
+    def test_term_order_does_not_matter(self):
+        r = RectUnion.of((iv(0, 1), iv(0, 2)))
+        f = SimpleFunction([(F(1), RectUnion.empty()), (F(2), r)])
+        g = SimpleFunction([(F(2), r), (F(1), RectUnion.empty())])
+        assert f == g == ind(r, 2)
+        assert f.universe == g.universe == ("prod", ("line",), ("line",))
+
+    def test_zero_function_integrates_to_zero(self):
+        f = SimpleFunction([(F(1), RectUnion.empty())])
+        assert f.is_zero and f.universe is None
+        report = fubini_check(f, LEB, CNT)
+        assert (report.product_value, report.iterated_sv, report.iterated_ts) == (0, 0, 0)
+        assert report.verdict == ALL_EQUAL
+        assert tensor_functional(f, LEB, CNT) == 0
+        pm = ProductMeasure(LEB, CNT)
+        assert integrate(f, pm) == 0
+        assert extended_integral(f, pm) == ZERO
+
+    def test_functions_over_different_universes_are_unequal(self):
+        line = ind(RectUnion.of((iv(0, 1), iv(0, 1))))
+        fin = ind(RectUnion.of((FinSet.of(("a",), ["a"]), FinSet.of(("b",), ["b"]))))
+        assert not line == fin and line != fin and fin not in [line]
+
+
 class TestIsIntegrable:
     def test_finite_interval_lebesgue(self):
         assert is_integrable(ind(iv(0, 1)), LEB)

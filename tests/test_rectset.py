@@ -118,6 +118,25 @@ class TestFinSetRects:
             )
 
 
+class TestEqualityAcrossUniverses:
+    LINE = RectUnion.of((iv(0, 1), iv(0, 1)))
+    FIN = RectUnion.of((FinSet.of(("a",), ["a"]), FinSet.of(("b",), ["b"])))
+
+    def test_nonempty_unions_over_different_universes_are_unequal(self):
+        line, fin = self.LINE, self.FIN
+        assert not line == fin and line != fin and fin != line
+        assert fin not in [line] and line in [fin, line]
+
+    def test_empty_unions_are_equal_whatever_their_universe(self):
+        line, fin = self.LINE, self.FIN
+        assert (line - line) == (fin - fin) == RectUnion.empty()
+
+    def test_union_with_an_empty_union_of_another_universe(self):
+        line, fin = self.LINE, self.FIN
+        for u in ((fin - fin) | line, line | (fin - fin)):
+            assert u == line and u.universe == line.universe
+
+
 class TestNestedRects:
     def test_triple_membership(self):
         inner = RectUnion.of((iv(0, 1), pts(0)))
