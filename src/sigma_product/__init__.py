@@ -21,10 +21,7 @@ from sigma_product.errors import (
 from sigma_product.extreal import (
     INF,
     ZERO,
-    ConstantTail,
     ExtNonNeg,
-    FiniteTerms,
-    Geometric,
     Rational,
     sum_series,
 )
@@ -66,7 +63,6 @@ from sigma_product.sigma import (
 )
 
 __all__ = [
-    "ConstantTail",
     "ConstantWeights",
     "CountableAtomic",
     "CountablePart",
@@ -75,9 +71,7 @@ __all__ = [
     "ExtNonNeg",
     "FinSet",
     "FiniteTabulated",
-    "FiniteTerms",
     "FinitenessClass",
-    "Geometric",
     "GeometricWeights",
     "INF",
     "InfinityExtension",

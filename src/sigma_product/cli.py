@@ -20,6 +20,7 @@ from sigma_product.errors import (
     NotIntegrable,
     ParseError,
     SigmaProductError,
+    SizeLimit,
     UniverseMismatch,
     UnresolvedName,
 )
@@ -53,6 +54,11 @@ KEYWORDS = {
     "prog", "ind", "inf", "constant", "geometric", "x",
     "eval", "component", "product", "classify", "integrate", "fubini",
 }
+
+# The deepest nesting of parentheses in one expression, and of names
+# declared through other names: deeper input is refused with a
+# parse-error or a size-limit instead of exhausting the Python stack.
+MAX_NESTING = 100
 
 TOKEN_RE = re.compile(
     r"""(?P<ws>[ \t]+)
@@ -162,6 +168,7 @@ class LineParser:
         self.tokens = tokens
         self.pos = 0
         self.line_no = line_no
+        self.depth = 0  # parentheses open around the current expression
 
     def peek(self) -> Token:
         return self.tokens[self.pos]
@@ -369,7 +376,13 @@ class LineParser:
             except ParseError:
                 pass
             self.pos = save
-            node = self.parse_set_expr()
+            if self.depth == MAX_NESTING:
+                self.fail(f"parentheses nested deeper than {MAX_NESTING}", open_tok)
+            self.depth += 1
+            try:  # a failed rectangle attempt in parse_ind_arg is retried
+                node = self.parse_set_expr()
+            finally:
+                self.depth -= 1
             self.expect(")")
             return node
         bound = self.parse_bound()
@@ -592,6 +605,11 @@ class Resolver:
         its own declaration reaches, directly or through other names."""
         if ref.name in self.resolving:
             raise UnresolvedName(f"{ref.name!r} is defined in terms of itself")
+        if len(self.resolving) == MAX_NESTING:
+            raise SizeLimit(
+                f"{ref.name!r} is reached through more than {MAX_NESTING} "
+                "nested declarations"
+            )
         self.resolving.add(ref.name)
         try:
             return resolve(self.lookup(ref, kind))
@@ -602,15 +620,22 @@ class Resolver:
         return node if isinstance(node, Measure) else self.lookup(node, "measure")
 
     def poly_set(self, node):
-        """Resolve to ('real', RealSet) | ('labels', labels) | ('empty',)."""
-        spine = []
-        while isinstance(node, SetOp):  # the parser nests operator chains on the left
-            spine.append(node)
-            node = node.left
-        value = node if isinstance(node, tuple) else self.follow(node, "set", self.poly_set)
-        for op_node in reversed(spine):
-            value = self._combine(op_node.op, value, self.poly_set(op_node.right))
-        return value
+        """Resolve to ('real', RealSet) | ('labels', labels) | ('empty',).
+        Operator trees are walked on an explicit stack, left operand first;
+        only names nest calls."""
+        todo, values = [node], []
+        while todo:
+            node = todo.pop()
+            if isinstance(node, SetOp):
+                todo += (node.op, node.right, node.left)
+            elif isinstance(node, tuple):
+                values.append(node)
+            elif isinstance(node, Ref):
+                values.append(self.follow(node, "set", self.poly_set))
+            else:  # an operator, after both of its operands
+                right = values.pop()
+                values.append(self._combine(node, values.pop(), right))
+        return values[0]
 
     def _combine(self, op, a, b):
         if a[0] == "empty":

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import total_ordering
-from typing import Iterable, TypeAlias, Union
+from typing import Iterable, Union
 
 from sigma_product.frozen import Frozen
 
@@ -138,57 +138,7 @@ def ext_sum(terms: Iterable[ExtNonNeg]) -> ExtNonNeg:
     return total
 
 
-class FiniteTerms:
-    """A series that is just a finite list of terms."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: Iterable[RationalLike | ExtNonNeg]):
-        self.terms = tuple(ExtNonNeg.of(t) for t in terms)
-
-    def total(self) -> ExtNonNeg:
-        return ext_sum(self.terms)
-
-
-class Geometric:
-    """The series first, first*ratio, first*ratio^2, ...; requires ratio < 1."""
-
-    __slots__ = ("first", "ratio")
-
-    def __init__(self, first: RationalLike, ratio: RationalLike):
-        first = Fraction(first)
-        ratio = Fraction(ratio)
-        if first < 0:
-            raise ValueError("geometric first term must be nonnegative")
-        if not 0 <= ratio < 1:
-            raise ValueError("geometric ratio must satisfy 0 <= ratio < 1")
-        self.first = first
-        self.ratio = ratio
-
-    def total(self) -> ExtNonNeg:
-        return ExtNonNeg(self.first / (1 - self.ratio))
-
-    def term(self, index: int) -> Fraction:
-        return self.first * self.ratio**index
-
-
-class ConstantTail:
-    """An infinite series repeating one term forever."""
-
-    __slots__ = ("term",)
-
-    def __init__(self, term: RationalLike | ExtNonNeg):
-        self.term = ExtNonNeg.of(term)
-
-    def total(self) -> ExtNonNeg:
-        return ZERO if self.term.is_zero else INF
-
-
-# A string: typing's subscription cache would keep these classes, and every
-# purged copy of the package with them, alive.
-SeriesDesc: TypeAlias = "Union[FiniteTerms, Geometric, ConstantTail]"
-
-
-def sum_series(series: SeriesDesc) -> ExtNonNeg:
-    """Exact value of one of the three closed-form series shapes."""
+def sum_series(series) -> ExtNonNeg:
+    """Exact value of a series that carries its closed form, such as a
+    measure's weight rule."""
     return series.total()

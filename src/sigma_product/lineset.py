@@ -328,8 +328,9 @@ class CountablePart(Frozen):
             return self
         pts = [p for p in self.points if not other.member(p)]
         progs: List[Progression] = []
+        bound = size_limit() if self.progressions else 0
         for g in self.progressions:
-            p_extra, g_left = _progression_minus(g, other)
+            p_extra, g_left = _progression_minus(g, other, bound - len(pts) - len(progs))
             pts += p_extra
             progs += g_left
         return canonical_countable(pts, progs)
@@ -341,9 +342,10 @@ class CountablePart(Frozen):
             return self
         pts = [p for p in self.points if iu_contains(intervals, p)]
         progs: List[Progression] = []
+        bound = size_limit() if self.progressions else 0
         for g in self.progressions:
             for iv in intervals:
-                extra, tail = _progression_meet_interval(g, iv)
+                extra, tail = _progression_meet_interval(g, iv, bound - len(pts) - len(progs))
                 pts += extra
                 if tail is not None:
                     progs.append(tail)
@@ -356,10 +358,22 @@ class CountablePart(Frozen):
 EMPTY_COUNTABLE = CountablePart((), ())
 
 
+def _check_expansion(count: int, room: int) -> None:
+    """Raise SizeLimit, before they are listed, when ``count`` more points
+    or progressions do not fit in the ``room`` left under the size limit."""
+    if count > room:
+        bound = size_limit()
+        raise SizeLimit(
+            f"countable set would expand into {bound - room + count} points "
+            f"and progressions (limit {bound})"
+        )
+
+
 def _progression_meet_interval(
-    g: Progression, iv: Interval
+    g: Progression, iv: Interval, room: int
 ) -> Tuple[List[Fraction], Optional[Progression]]:
-    """Split g's points inside iv into finite points plus an optional tail."""
+    """Split g's points inside iv into finite points plus an optional tail;
+    more than ``room`` points raise SizeLimit."""
     if iv.lo is None:
         kmin = 0
     else:
@@ -372,13 +386,15 @@ def _progression_meet_interval(
     kmax = math.floor((iv.hi - g.base) / g.step)
     if kmax >= 0 and iv.hi_open and g.term(kmax) == iv.hi:
         kmax -= 1
+    _check_expansion(kmax + 1 - kmin, room)
     return [g.term(k) for k in range(kmin, kmax + 1)], None
 
 
 def _progression_minus(
-    g: Progression, removal: CountablePart
+    g: Progression, removal: CountablePart, room: int
 ) -> Tuple[List[Fraction], List[Progression]]:
-    """g minus a countable part, as leftover points plus sub-progressions."""
+    """g minus a countable part, as leftover points plus sub-progressions;
+    more than ``room`` of them raise SizeLimit."""
     # Removed index classes: k ≡ k0 (mod t) for k >= k0.
     index_classes: List[Tuple[int, int]] = []
     for r in removal.progressions:
@@ -398,6 +414,7 @@ def _progression_minus(
         if not removed_points:
             return [], [g]
         cutoff = max(removed_points) + 1
+        _check_expansion(cutoff + 1 - len(removed_points), room)
         pts = [g.term(k) for k in range(cutoff) if k not in removed_points]
         return pts, [Progression(g.term(cutoff), g.step)]
 
@@ -405,6 +422,7 @@ def _progression_minus(
     cutoff = max(
         [k0 for k0, _ in index_classes] + [p + 1 for p in removed_points] + [0]
     )
+    _check_expansion(cutoff + period, room)
 
     def removed(k: int) -> bool:
         if k in removed_points:

@@ -10,17 +10,12 @@ from __future__ import annotations
 
 from enum import Enum
 from fractions import Fraction
-from typing import Dict, Iterable, Tuple, TypeAlias, Union
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 from sigma_product.errors import NotMeasurable, PropertyViolated, UniverseMismatch
-from sigma_product.extreal import (
-    INF,
-    ZERO,
-    ExtNonNeg,
-    Geometric,
-    render_rational,
-)
+from sigma_product.extreal import INF, ZERO, ExtNonNeg, render_rational
 from sigma_product.finset import FinSet
+from sigma_product.frozen import Frozen
 from sigma_product.lineset import LINE_UNIVERSE, CountablePart, Progression, RealSet
 from sigma_product.rectset import render_universe
 from sigma_product.sigma import (
@@ -49,6 +44,7 @@ NOT_SIGMA_FINITE = FinitenessClass.NOT_SIGMA_FINITE
 class Measure:
     """Common surface of all measures."""
 
+    __slots__ = ()
     universe: tuple = ()
 
     def check_universe(self, a) -> None:
@@ -74,9 +70,10 @@ class Measure:
         raise NotImplementedError
 
 
-class LebesgueLine(Measure):
+class LebesgueLine(Frozen, Measure):
     """Length on the real line; countable corrections are null."""
 
+    __slots__ = ()
     universe = LINE_UNIVERSE
 
     def measure(self, a: RealSet) -> ExtNonNeg:
@@ -91,16 +88,11 @@ class LebesgueLine(Measure):
     def render(self) -> str:
         return "lebesgue"
 
-    def __eq__(self, other):
-        return isinstance(other, LebesgueLine)
 
-    def __hash__(self):
-        return hash("LebesgueLine")
-
-
-class CountingLine(Measure):
+class CountingLine(Frozen, Measure):
     """Counting measure on the real line."""
 
+    __slots__ = ()
     universe = LINE_UNIVERSE
 
     def measure(self, a: RealSet) -> ExtNonNeg:
@@ -124,20 +116,15 @@ class CountingLine(Measure):
     def render(self) -> str:
         return "counting"
 
-    def __eq__(self, other):
-        return isinstance(other, CountingLine)
 
-    def __hash__(self):
-        return hash("CountingLine")
-
-
-class DiracAt(Measure):
+class DiracAt(Frozen, Measure):
     """Unit point mass."""
 
+    __slots__ = ("point",)
     universe = LINE_UNIVERSE
 
     def __init__(self, point: Fraction):
-        self.point = Fraction(point)
+        object.__setattr__(self, "point", Fraction(point))
 
     def measure(self, a: RealSet) -> ExtNonNeg:
         self.check_universe(a)
@@ -150,51 +137,70 @@ class DiracAt(Measure):
     def render(self) -> str:
         return f"dirac({render_rational(self.point)})"
 
-    def __eq__(self, other):
-        return isinstance(other, DiracAt) and self.point == other.point
 
-    def __hash__(self):
-        return hash(("DiracAt", self.point))
+class WeightRule(Frozen):
+    """The weights of the points k = 0, 1, 2, ... of a progression, summed
+    in closed form by ``mass``."""
+
+    __slots__ = ()
+
+    def mass(self, points: Sequence[int], tails: Sequence[Tuple[int, int]]) -> ExtNonNeg:
+        """The weight of the index points plus the index tails (start, step),
+        the tail (start, step) holding start, start + step, ..."""
+        raise NotImplementedError
+
+    def total(self) -> ExtNonNeg:
+        """The weight of the whole progression: the one tail (0, 1)."""
+        return self.mass((), ((0, 1),))
 
 
-class ConstantWeights:
+class ConstantWeights(WeightRule):
     """Every point of a progression carries the same weight."""
 
     __slots__ = ("weight",)
 
     def __init__(self, weight: ExtNonNeg):
-        self.weight = ExtNonNeg.of(weight)
+        object.__setattr__(self, "weight", ExtNonNeg.of(weight))
+
+    def mass(self, points, tails) -> ExtNonNeg:
+        return self.weight * (INF if tails else ExtNonNeg(len(points)))
 
     def render(self) -> str:
         return f"constant({self.weight})"
 
 
-class GeometricWeights:
+class GeometricWeights(WeightRule):
     """Point k of a progression weighs first * ratio**k."""
 
     __slots__ = ("first", "ratio")
 
     def __init__(self, first: Fraction, ratio: Fraction):
-        self.first = Fraction(first)
-        self.ratio = Fraction(ratio)
-        if self.first < 0:
+        first, ratio = Fraction(first), Fraction(ratio)
+        if first < 0:
             raise ValueError("geometric weight must be nonnegative")
-        if not 0 <= self.ratio < 1:
+        if not 0 <= ratio < 1:
             raise ValueError("geometric ratio must satisfy 0 <= ratio < 1")
+        object.__setattr__(self, "first", first)
+        object.__setattr__(self, "ratio", ratio)
+
+    def mass(self, points, tails) -> ExtNonNeg:
+        first, ratio = self.first, self.ratio
+        total = sum(first * ratio**k for k in points)
+        for k0, t in tails:
+            total += first * ratio**k0 / (1 - ratio**t)
+        return ExtNonNeg(total)
 
     def render(self) -> str:
         return f"geometric({render_rational(self.first)}, {render_rational(self.ratio)})"
 
 
-# A string: typing's subscription cache would keep these classes, and every
-# purged copy of the package with them, alive.
-WeightRule: TypeAlias = "Union[ConstantWeights, GeometricWeights]"
-
-
-class CountableAtomic(Measure):
+class CountableAtomic(Frozen, Measure):
     """Atomic measure on the real line: point masses plus weighted
-    progressions.  Supports must be pairwise disjoint."""
+    progressions.  Supports must be pairwise disjoint.  Points are kept
+    sorted, and progressions sorted by (base, step), so equal measures
+    compare equal whatever the order of their entries."""
 
+    __slots__ = ("point_masses", "progression_weights")
     universe = LINE_UNIVERSE
 
     def __init__(
@@ -202,28 +208,13 @@ class CountableAtomic(Measure):
         point_masses: Iterable[Tuple[Fraction, ExtNonNeg]] = (),
         progression_weights: Iterable[Tuple[Progression, WeightRule]] = (),
     ):
-        self.point_masses = tuple(
-            (Fraction(p), ExtNonNeg.of(w)) for p, w in point_masses
-        )
-        self.progression_weights = tuple(progression_weights)
-        self._validate_disjoint()
-
-    def _validate_disjoint(self):
-        from sigma_product.lineset import intersect_progressions
-
-        points = [p for p, _ in self.point_masses]
-        if len(set(points)) != len(points):
-            raise ValueError("duplicate point mass")
-        progs = [g for g, _ in self.progression_weights]
-        for i, g in enumerate(progs):
-            for p in points:
-                if g.member(p):
-                    raise ValueError(f"point mass {p} lies on {g.render()}")
-            for h in progs[i + 1 :]:
-                if intersect_progressions(g, h) is not None:
-                    raise ValueError(
-                        f"overlapping progressions {g.render()} and {h.render()}"
-                    )
+        points = [(Fraction(p), ExtNonNeg.of(w)) for p, w in point_masses]
+        progs = list(progression_weights)
+        _validate_disjoint([p for p, _ in points], [g for g, _ in progs])
+        points.sort(key=lambda pw: pw[0])
+        progs.sort(key=lambda gr: (gr[0].base, gr[0].step))
+        object.__setattr__(self, "point_masses", tuple(points))
+        object.__setattr__(self, "progression_weights", tuple(progs))
 
     def measure(self, a: RealSet) -> ExtNonNeg:
         self.check_universe(a)
@@ -232,7 +223,7 @@ class CountableAtomic(Measure):
             if a.member(p):
                 total = total + w
         for g, rule in self.progression_weights:
-            total = total + self._progression_mass(g, rule, a)
+            total = total + rule.mass(*self._index_pattern(g, a))
         return total
 
     @staticmethod
@@ -248,18 +239,6 @@ class CountableAtomic(Measure):
             idx_progs.append((k0, t))
         return idx_points, idx_progs
 
-    def _progression_mass(self, g: Progression, rule: WeightRule, a: RealSet) -> ExtNonNeg:
-        idx_points, idx_progs = self._index_pattern(g, a)
-        if isinstance(rule, ConstantWeights):
-            if idx_progs:
-                return rule.weight * INF
-            return rule.weight * ExtNonNeg(len(idx_points))
-        series = Geometric(rule.first, rule.ratio)
-        total = sum(series.term(k) for k in idx_points)
-        for k0, t in idx_progs:
-            total += Geometric(series.term(k0), rule.ratio**t).total().finite
-        return ExtNonNeg(total)
-
     def finiteness(self, a: RealSet) -> FinitenessClass:
         self.check_universe(a)
         if self.measure(a).is_finite:
@@ -268,7 +247,7 @@ class CountableAtomic(Measure):
             if not w.is_finite and a.member(p):
                 return NOT_SIGMA_FINITE
         for g, rule in self.progression_weights:
-            if isinstance(rule, ConstantWeights) and not rule.weight.is_finite:
+            if not rule.mass((0,), ()).is_finite:  # one point weighs inf
                 hit = a.meet_countable(CountablePart((), (g,)))
                 if not hit.is_empty:
                     return NOT_SIGMA_FINITE
@@ -283,30 +262,41 @@ class CountableAtomic(Measure):
         ]
         return "atomic{" + ", ".join(bits) + "}"
 
-    def __eq__(self, other):
-        if not isinstance(other, CountableAtomic):
-            return NotImplemented
-        return self.render() == other.render()
 
-    def __hash__(self):
-        return hash(("CountableAtomic", self.render()))
+def _validate_disjoint(points: List[Fraction], progs: List[Progression]) -> None:
+    from sigma_product.lineset import intersect_progressions
+
+    if len(set(points)) != len(points):
+        raise ValueError("duplicate point mass")
+    for i, g in enumerate(progs):
+        for p in points:
+            if g.member(p):
+                raise ValueError(f"point mass {p} lies on {g.render()}")
+        for h in progs[i + 1 :]:
+            if intersect_progressions(g, h) is not None:
+                raise ValueError(
+                    f"overlapping progressions {g.render()} and {h.render()}"
+                )
 
 
-class FiniteTabulated(Measure):
+class FiniteTabulated(Frozen, Measure):
     """A measure on an explicit sigma-ring over a finite ground, given by
-    atom weights."""
+    atom weights: ``weights[i]`` is the weight of ``atoms[i]``."""
+
+    __slots__ = ("ring", "atoms", "weights")
 
     def __init__(self, ring: SigmaRingFin, atom_weights: Dict[FinSet, ExtNonNeg]):
-        self.ring = ring
-        self.atoms = ring.atoms()
-        weights: Dict[int, ExtNonNeg] = {}
-        for atom in self.atoms:
+        atoms = tuple(ring.atoms())
+        weights = []
+        for atom in atoms:
             if atom not in atom_weights:
                 raise ValueError(f"missing weight for atom {atom!r}")
-            weights[atom.mask] = ExtNonNeg.of(atom_weights[atom])
-        if len(atom_weights) != len(self.atoms):
+            weights.append(ExtNonNeg.of(atom_weights[atom]))
+        if len(atom_weights) != len(atoms):
             raise ValueError("weights given for sets that are not atoms")
-        self._weights = weights
+        object.__setattr__(self, "ring", ring)
+        object.__setattr__(self, "atoms", atoms)
+        object.__setattr__(self, "weights", tuple(weights))
 
     @staticmethod
     def power_set(weights: Dict[object, ExtNonNeg]) -> "FiniteTabulated":
@@ -324,16 +314,15 @@ class FiniteTabulated(Measure):
         return ("fin", self.ring.ground)
 
     def atom_weight(self, atom: FinSet) -> ExtNonNeg:
-        return self._weights[atom.mask]
+        return self.weights[self.atoms.index(atom)]
 
     def measure(self, a: FinSet) -> ExtNonNeg:
         self.check_universe(a)
         if a not in self.ring:
             raise NotMeasurable(f"{a!r} is not in the sigma-ring")
         total = Fraction(0)
-        for atom in self.atoms:
+        for atom, w in zip(self.atoms, self.weights):
             if atom.mask & a.mask:
-                w = self._weights[atom.mask]
                 if not w.is_finite:
                     return INF
                 total += w.finite
@@ -345,38 +334,32 @@ class FiniteTabulated(Measure):
             raise NotMeasurable(f"{a!r} is not in the sigma-ring")
         # On a finite ground an infinite value always comes from an
         # infinite-weight atom, which blocks sigma-finiteness.
-        for atom in self.atoms:
-            if atom.mask & a.mask and not self._weights[atom.mask].is_finite:
+        for atom, w in zip(self.atoms, self.weights):
+            if atom.mask & a.mask and not w.is_finite:
                 return NOT_SIGMA_FINITE
         return FINITE
 
     def finite_part_ring(self) -> SigmaRingFin:
         """The sigma-ring of sigma-finite sets: the unions of the atoms of
         finite weight."""
-        finite = [atom for atom in self.atoms if self._weights[atom.mask].is_finite]
+        finite = [atom for atom, w in zip(self.atoms, self.weights) if w.is_finite]
         return ring_from_atoms(self.ring.ground, finite)
 
     def render(self) -> str:
-        bits = []
-        for atom in self.atoms:
-            label = "+".join(str(x) for x in atom)
-            bits.append(f"{label}: {self._weights[atom.mask]}")
+        bits = [
+            "+".join(str(x) for x in atom) + f": {w}"
+            for atom, w in zip(self.atoms, self.weights)
+        ]
         return "tabulated{" + ", ".join(bits) + "}"
 
-    def __eq__(self, other):
-        if not isinstance(other, FiniteTabulated):
-            return NotImplemented
-        return self.ring == other.ring and self._weights == other._weights
 
-    def __hash__(self):
-        return hash((self.ring, tuple(sorted(self._weights.items(), key=lambda kv: kv[0]))))
-
-
-class SigmaFiniteComponent(Measure):
+class SigmaFiniteComponent(Frozen, Measure):
     """Restriction of a measure to its sigma-finite sets."""
 
+    __slots__ = ("base",)
+
     def __init__(self, base: Measure):
-        self.base = base
+        object.__setattr__(self, "base", base)
 
     @property
     def universe(self) -> tuple:
@@ -407,15 +390,16 @@ class InfinityExtension(FiniteTabulated):
     atom: the extension is the table on the outer ring that keeps the
     inner atoms' weights and gives every other outer atom infinity."""
 
+    __slots__ = ("inner",)
+
     def __init__(self, inner: FiniteTabulated, outer: SigmaRingFin):
         if not has_simple_extension_property(outer, inner.ring):
             raise PropertyViolated(
                 "pair of sigma-rings lacks the simple extension property"
             )
-        super().__init__(outer, {
-            atom: inner._weights.get(atom.mask, INF) for atom in outer.atoms()
-        })
-        self.inner = inner
+        kept = {atom.mask: w for atom, w in zip(inner.atoms, inner.weights)}
+        super().__init__(outer, {atom: kept.get(atom.mask, INF) for atom in outer.atoms()})
+        object.__setattr__(self, "inner", inner)
 
     def render(self) -> str:
         return f"extension({self.inner.render()})"

@@ -14,6 +14,7 @@ from typing import Dict, Sequence, Tuple
 from sigma_product.errors import UniverseMismatch
 from sigma_product.extreal import INF, ZERO, ExtNonNeg
 from sigma_product.finset import FinSet, product_set
+from sigma_product.frozen import Frozen
 from sigma_product.measures import (
     FINITE,
     NOT_SIGMA_FINITE,
@@ -26,13 +27,15 @@ from sigma_product.rectset import RectUnion
 from sigma_product.sigma import product_sigma_ring
 
 
-class ProductMeasure(Measure):
+class ProductMeasure(Frozen, Measure):
     """The unique product of two arbitrary measures, evaluated on finite
     unions of rectangles."""
 
+    __slots__ = ("left", "right")
+
     def __init__(self, left: Measure, right: Measure):
-        self.left = left
-        self.right = right
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
 
     @property
     def universe(self) -> tuple:
@@ -108,10 +111,8 @@ def finite_product_measure(mu: FiniteTabulated, nu: FiniteTabulated) -> FiniteTa
     measures, as atom weights: each product atom is one cell a x b."""
     ring = product_sigma_ring(mu.ring, nu.ring)
     weights: Dict[FinSet, ExtNonNeg] = {}
-    for a in mu.atoms:
-        wa = mu.atom_weight(a)
-        for b in nu.atoms:
-            wb = nu.atom_weight(b)
+    for a, wa in zip(mu.atoms, mu.weights):
+        for b, wb in zip(nu.atoms, nu.weights):
             # a nonempty rectangle with a non-sigma-finite side gets INF
             finite = wa.is_finite and wb.is_finite
             weights[product_set(a, b, ring.ground)] = wa * wb if finite else INF

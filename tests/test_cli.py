@@ -3,6 +3,7 @@ import json
 import re
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -15,7 +16,7 @@ from sigma_product.cli import (
     run_document,
     run_file,
 )
-from sigma_product.errors import ParseError, UniverseMismatch, UnresolvedName
+from sigma_product.errors import ParseError, SizeLimit, UniverseMismatch, UnresolvedName
 from sigma_product.lineset import RealSet
 from sigma_product.measures import CountableAtomic, DiracAt
 
@@ -466,3 +467,114 @@ class TestFlatOperatorChains:
         buffer = io.StringIO()
         assert run_file(str(spec), "text", out=buffer) == 0
         assert buffer.getvalue().splitlines() == lines
+
+
+def nested(depth: int, core: str = "[0, 1]") -> str:
+    return "(" * depth + core + ")" * depth
+
+
+def chain(kind: str, length: int, first: str) -> str:
+    """Declarations X0 = first, X1 = X0, ..., X<length> = X<length-1>."""
+    name = {"set": "S", "rect": "R"}[kind]
+    lines = [f"{kind} {name}0 = {first}"]
+    lines += [f"{kind} {name}{i} = {name}{i - 1}" for i in range(1, length + 1)]
+    return "\n".join(lines)
+
+
+class TestNestingCap:
+    """Nesting past MAX_NESTING is refused with a stable kind, never a
+    Python recursion error."""
+
+    CAP = 100
+
+    @pytest.mark.parametrize(
+        "text, kind, message",
+        [
+            (f"set A = {nested(300)}\ncmd eval L A", "parse-error",
+             "line 2, column 109: parentheses nested deeper than 100"),
+            (f"cmd eval L {nested(300)}", "parse-error",
+             "line 2, column 112: parentheses nested deeper than 100"),
+            (f"fn f = ind({nested(300)})\ncmd integrate L f", "parse-error",
+             "line 2, column 112: parentheses nested deeper than 100"),
+            (f"{chain('set', 600, '[0, 1]')}\ncmd eval L S600", "size-limit",
+             "'S500' is reached through more than 100 nested declarations"),
+            (f"{chain('rect', 600, '([0, 1] x [0, 1])')}\ncmd product L L R600", "size-limit",
+             "'R500' is reached through more than 100 nested declarations"),
+        ],
+        ids=["set-parens", "cmd-parens", "ind-parens", "set-chain", "rect-chain"],
+    )
+    def test_deep_input_is_refused(self, tmp_path, text, kind, message):
+        assert getattr(cli, "MAX_NESTING", None) == self.CAP
+        spec = tmp_path / "deep.spec"
+        spec.write_text(f"measure L = lebesgue\n{text}\n")
+        out, code = run_capture(spec)
+        assert (code, out) == (2, f"error: {kind}: {message}\n")
+
+    def test_parentheses_up_to_the_cap_parse(self):
+        text = f"measure L = lebesgue\ncmd eval L {nested(self.CAP)} | {nested(self.CAP, '{5}')}\n"
+        assert run_document(parse_spec(text)) == ([("value", "1"), ("class", "finite")], 0)
+        deeper = f"measure L = lebesgue\nset A = [0, 1] & {nested(self.CAP + 1)}\ncmd eval L A\n"
+        with pytest.raises(ParseError, match="column 118: parentheses nested deeper"):
+            parse_spec(deeper)
+
+    def test_right_nested_operators_resolve_without_recursion(self):
+        expr = "[0, 1]"
+        for k in range(self.CAP):
+            expr = f"{{{k + 2}}} | ({expr})"
+        doc = parse_spec(f"measure C = counting\ncmd eval C {expr}\n")
+        assert run_document(doc) == ([("value", "inf"), ("class", "not-sigma-finite")], 0)
+
+    @pytest.mark.parametrize("kind, first, cmd", [
+        ("set", "[0, 1]", "eval L S{n}"),
+        ("rect", "([0, 1] x [0, 1])", "product L L R{n}"),
+    ])
+    def test_name_chains_up_to_the_cap_resolve(self, kind, first, cmd):
+        ok = f"measure L = lebesgue\n{chain(kind, self.CAP - 1, first)}\ncmd {cmd.format(n=self.CAP - 1)}\n"
+        assert run_document(parse_spec(ok)) == ([("value", "1"), ("class", "finite")], 0)
+        over = f"measure L = lebesgue\n{chain(kind, self.CAP, first)}\ncmd {cmd.format(n=self.CAP)}\n"
+        with pytest.raises(SizeLimit, match="reached through more than 100 nested declarations"):
+            run_document(parse_spec(over))
+
+
+class TestCountableExpansionLimit:
+    """Listing the points of a progression, or the pieces of a difference,
+    is bounded by the size limit before anything is built."""
+
+    @pytest.mark.parametrize(
+        "expr, count",
+        [
+            ("[0, 1000000000000] & prog(0, 1)", "1000000000001"),
+            ("prog(0, 1) \\ {1000000000000}", "1000000000001"),
+            ("prog(0, 1) \\ prog(0, 7919) \\ prog(0, 7907)", None),
+        ],
+        ids=["interval-meet", "far-point", "two-differences"],
+    )
+    def test_expansion_is_a_size_limit(self, tmp_path, expr, count):
+        spec = tmp_path / "wide.spec"
+        spec.write_text(f"measure C = counting\ncmd eval C {expr}\n")
+        t0 = time.perf_counter()
+        out, code = run_capture(spec)
+        assert time.perf_counter() - t0 < 10
+        match = re.fullmatch(
+            r"error: size-limit: countable set would expand into (\d+) points "
+            r"and progressions \(limit 65536\)\n", out)
+        assert code == 2 and match, out
+        assert count is None or match[1] == count
+
+    def test_small_expansion_still_counts(self, tmp_path):
+        spec = tmp_path / "small.spec"
+        spec.write_text("measure C = counting\ncmd eval C [0, 1000] & prog(0, 1)\n")
+        assert run_capture(spec) == ("value = 1001\nclass = finite\n", 0)
+
+    @pytest.mark.parametrize("other, count", [
+        (RealSet.interval(Fraction(0), Fraction(160)), "121"),
+        (RealSet.line() - RealSet.points([Fraction(200), Fraction(201), Fraction(202)]), None),
+    ], ids=["meet", "difference"])
+    def test_the_limit_counts_across_progressions(self, monkeypatch, other, count):
+        """Three progressions that each list fewer points than the limit,
+        but more than it together."""
+        monkeypatch.setenv("SIGMA_PRODUCT_SIZE_LIMIT", "100")
+        three = RealSet.progression(Fraction(0), Fraction(2)) | RealSet.progression(Fraction(1), Fraction(4))
+        assert len(three.included.progressions) == 3
+        with pytest.raises(SizeLimit, match=rf"into {count or '1[0-9][0-9]'} points and progressions \(limit 100\)$"):
+            three & other

@@ -5,15 +5,13 @@ import pytest
 from sigma_product.extreal import (
     INF,
     ZERO,
-    ConstantTail,
     ExtNonNeg,
-    FiniteTerms,
-    Geometric,
     ext_sum,
     parse_rational,
     render_rational,
     sum_series,
 )
+from sigma_product.measures import ConstantWeights, GeometricWeights
 
 
 def F(text: str) -> ExtNonNeg:
@@ -93,10 +91,10 @@ def test_ordering():
 
 
 def test_finite_terms_sum():
-    s = FiniteTerms([1, Fraction(1, 2), Fraction(1, 4)])
-    assert sum_series(s) == F("7/4")
-    assert sum_series(FiniteTerms([])) == ZERO
-    assert sum_series(FiniteTerms([1, INF, 2])) == INF
+    s = [ExtNonNeg(1), ExtNonNeg(Fraction(1, 2)), ExtNonNeg(Fraction(1, 4))]
+    assert ext_sum(s) == F("7/4")
+    assert ext_sum([]) == ZERO
+    assert ext_sum([ExtNonNeg(1), INF, ExtNonNeg(2)]) == INF
 
 
 def geometric_partial_sum(first: Fraction, ratio: Fraction, n: int) -> Fraction:
@@ -119,7 +117,7 @@ def geometric_partial_sum(first: Fraction, ratio: Fraction, n: int) -> Fraction:
     ],
 )
 def test_geometric_against_partial_sums(first, ratio, terms):
-    closed = sum_series(Geometric(first, ratio))
+    closed = sum_series(GeometricWeights(first, ratio))
     assert closed.is_finite
     partial = geometric_partial_sum(first, ratio, terms)
     # The closed form dominates every partial sum; with enough terms the
@@ -132,20 +130,20 @@ def test_geometric_against_partial_sums(first, ratio, terms):
 
 
 def test_geometric_example_value():
-    assert sum_series(Geometric(1, Fraction(1, 2))) == ExtNonNeg(2)
+    assert sum_series(GeometricWeights(1, Fraction(1, 2))) == ExtNonNeg(2)
 
 
 def test_geometric_validation():
     with pytest.raises(ValueError):
-        Geometric(1, 1)
+        GeometricWeights(1, 1)
     with pytest.raises(ValueError):
-        Geometric(-1, Fraction(1, 2))
+        GeometricWeights(-1, Fraction(1, 2))
 
 
 def test_constant_tail():
-    assert sum_series(ConstantTail(1)) == INF
-    assert sum_series(ConstantTail(0)) == ZERO
-    assert sum_series(ConstantTail(INF)) == INF
+    assert sum_series(ConstantWeights(ExtNonNeg(1))) == INF
+    assert sum_series(ConstantWeights(ZERO)) == ZERO
+    assert sum_series(ConstantWeights(INF)) == INF
 
 
 def test_rendering():

@@ -123,3 +123,126 @@ def test_custom_equality_is_kept():
     for x in (ru, f):
         with pytest.raises(TypeError):
             hash(x)
+
+
+# -- measures and weight rules are values too
+
+def _measures():
+    """name -> a builder of one instance, called afresh on each use."""
+    from sigma_product.measures import (
+        ConstantWeights,
+        CountableAtomic,
+        CountingLine,
+        DiracAt,
+        FiniteTabulated,
+        GeometricWeights,
+        InfinityExtension,
+        LebesgueLine,
+    )
+    from sigma_product.product import ProductMeasure
+    from sigma_product.sigma import generate_sigma_algebra
+
+    a, b = FinSet(GROUND, 0b001), FinSet(GROUND, 0b010)
+    inner = generate_sigma_ring(GROUND, [a])
+    outer = generate_sigma_algebra(GROUND, [a, b])
+    L, C = LebesgueLine(), CountingLine()
+    return {
+        "LebesgueLine": LebesgueLine,
+        "CountingLine": CountingLine,
+        "DiracAt": lambda: DiracAt(F(1, 2)),
+        "CountableAtomic": lambda: CountableAtomic(
+            [(F(1, 2), ExtNonNeg(3))],
+            [(Progression(F(0), F(1)), GeometricWeights(F(1), F(1, 2)))],
+        ),
+        "FiniteTabulated": lambda: FiniteTabulated(inner, {a: ExtNonNeg(2)}),
+        "InfinityExtension": lambda: InfinityExtension(
+            FiniteTabulated(inner, {a: ExtNonNeg(2)}), outer
+        ),
+        "SigmaFiniteComponent": lambda: L.sigma_finite_component(),
+        "ProductMeasure": lambda: ProductMeasure(L, C),
+        "ConstantWeights": lambda: ConstantWeights(INF),
+        "GeometricWeights": lambda: GeometricWeights(F(1), F(1, 3)),
+    }
+
+
+MEASURES = _measures()
+
+
+def rebuilt_fields(x, **changes):
+    """A fresh instance of x's class with all of x's fields, bases' slots
+    included, some replaced."""
+    y = object.__new__(type(x))
+    for name in type(x)._names:
+        object.__setattr__(y, name, changes.get(name, getattr(x, name)))
+    return y
+
+
+@pytest.mark.parametrize("name", sorted(MEASURES))
+def test_measure_is_immutable(name):
+    x = MEASURES[name]()
+    assert type(x).__name__ == name and isinstance(x, Frozen)
+    assert not hasattr(x, "__dict__")
+    for field in type(x)._names + ("universe", "extra"):
+        with pytest.raises(AttributeError, match=f"^{name} is immutable$"):
+            setattr(x, field, None)
+
+
+@pytest.mark.parametrize("name", sorted(MEASURES))
+def test_measure_equal_by_definition(name):
+    x, y = MEASURES[name](), MEASURES[name]()
+    assert x is not y and x == y and hash(x) == hash(y)
+    assert rebuilt_fields(x) == x
+    for field in type(x)._names:
+        assert rebuilt_fields(x, **{field: object()}) != x
+    assert repr(x).startswith(f"{name}(") and repr(x) == repr(y)
+
+
+def test_measures_differ_across_types():
+    built = [make() for make in MEASURES.values()]
+    for i, x in enumerate(built):
+        assert [j for j, y in enumerate(built) if x == y] == [i]
+
+
+def test_tables_equal_whatever_the_insertion_order():
+    from sigma_product.measures import FiniteTabulated
+
+    ring = generate_sigma_ring(GROUND, [FinSet(GROUND, 0b001), FinSet(GROUND, 0b010)])
+    atoms = ring.atoms()
+    weights = [ExtNonNeg(k) for k in range(len(atoms))]
+    forward = FiniteTabulated(ring, dict(zip(atoms, weights)))
+    backward = FiniteTabulated(ring, dict(reversed(list(zip(atoms, weights)))))
+    assert forward == backward and hash(forward) == hash(backward)
+    assert forward.atoms == tuple(atoms)
+
+
+def test_fields_follow_the_bases_slots():
+    ext = MEASURES["InfinityExtension"]()
+    assert type(ext)._names == ("ring", "atoms", "weights", "inner")
+    assert repr(ext).startswith("InfinityExtension(ring=SigmaRingFin(")
+    assert ", inner=FiniteTabulated(" in repr(ext)
+    table = rebuilt_fields(ext)
+    plain = object.__new__(type(ext.inner))
+    for name in type(ext.inner)._names:
+        object.__setattr__(plain, name, getattr(table, name))
+    assert plain != ext and ext == table  # the same table, not the same type
+
+
+def test_a_class_with_no_fields_compares_by_type():
+    empty = type("Empty", (Frozen,), {"__slots__": ()})
+    other = type("Other", (Frozen,), {"__slots__": ()})
+    assert empty() == empty() and hash(empty()) == hash(empty())
+    assert empty() != other()
+    assert repr(empty()) == "Empty()"
+    with pytest.raises(AttributeError, match="^Empty is immutable$"):
+        empty().value = 1
+
+
+@pytest.mark.parametrize("name", sorted(MEASURES))
+def test_measures_pickle_and_copy(name):
+    import copy
+    import pickle
+
+    x = MEASURES[name]()
+    for y in (pickle.loads(pickle.dumps(x)), copy.copy(x), copy.deepcopy(x)):
+        assert type(y) is type(x) and y == x
+        assert [getattr(y, n) for n in type(x)._names] == [getattr(x, n) for n in type(x)._names]

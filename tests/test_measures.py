@@ -251,6 +251,29 @@ class TestCountableAtomic:
                 ]
             )
 
+    def test_entry_order_does_not_matter(self):
+        one, two = ConstantWeights(ExtNonNeg(1)), GeometricWeights(F(1), F(1, 2))
+        points = [(F(1), ExtNonNeg(2)), (F(0), ExtNonNeg(1))]
+        progs = [(Progression(F(3, 2), F(4)), one), (Progression(F(1, 2), F(2)), two)]
+        forward = CountableAtomic(points, progs)
+        backward = CountableAtomic(points[::-1], progs[::-1])
+        assert forward == backward and hash(forward) == hash(backward)
+        assert CountableAtomic([(0, 1), (1, 2)]) == CountableAtomic([(1, 2), (0, 1)])
+        # entries render sorted: points, then progressions by (base, step)
+        assert forward.render() == backward.render() == (
+            "atomic{0: 1, 1: 2, prog(1/2, 2): geometric(1, 1/2), prog(3/2, 4): constant(1)}"
+        )
+
+    def test_overlap_messages_follow_the_input_order(self):
+        progs = [
+            (Progression(F(3), F(2)), ConstantWeights(ExtNonNeg(1))),
+            (Progression(F(1), F(4)), ConstantWeights(ExtNonNeg(1))),
+        ]
+        with pytest.raises(ValueError, match=r"^overlapping progressions prog\(3, 2\) and prog\(1, 4\)$"):
+            CountableAtomic(progression_weights=progs)
+        with pytest.raises(ValueError, match=r"^point mass 9 lies on prog\(3, 2\)$"):
+            CountableAtomic([(F(9), ExtNonNeg(1)), (F(5), ExtNonNeg(1))], progs[:1])
+
     def test_sigma_additivity_sampled(self):
         m = CountableAtomic(
             point_masses=[(F(-5), ExtNonNeg(7))],
