@@ -162,7 +162,9 @@ class SpecDocument:
 
 
 class LineParser:
-    """Recursive-descent parser over one logical line."""
+    """Recursive-descent parser over one logical line.  Each production is
+    chosen by the next token or two and no token is read twice, so every
+    ParseError names the first token that cannot continue the line."""
 
     def __init__(self, tokens: List[Token], line_no: int):
         self.tokens = tokens
@@ -170,8 +172,8 @@ class LineParser:
         self.line_no = line_no
         self.depth = 0  # parentheses open around the current expression
 
-    def peek(self) -> Token:
-        return self.tokens[self.pos]
+    def peek(self, ahead: int = 0) -> Token:
+        return self.tokens[self.pos + ahead]
 
     def next(self) -> Token:
         tok = self.tokens[self.pos]
@@ -285,6 +287,8 @@ class LineParser:
 
         def entry():
             name_tok = self.expect("ident")
+            if name_tok.text in KEYWORDS:  # a brace set could never name it
+                self.fail(f"{name_tok.text!r} is reserved", name_tok)
             if name_tok.text in weights:
                 self.fail(f"duplicate atom {name_tok.text!r}", name_tok)
             self.expect(":")
@@ -335,25 +339,31 @@ class LineParser:
             raise ParseError(str(exc), close.line, close.column)
 
     # -- sets
+    #
+    # After a '(' the next token decides: a number, '-' or 'inf' opens an
+    # interval, anything else a group.  Every group, whether a set factor,
+    # a rect term or an ind(...) argument, is parse_group.
 
-    def parse_set_expr(self):
-        node = self.parse_set_term()
+    def parse_set_expr(self, first=None):
+        node = self.parse_set_term(first)
         while self.peek().kind in ("|", "\\"):
             op = SET_OPS[self.next().kind]
             node = SetOp(op, node, self.parse_set_term())
         return node
 
-    def parse_set_term(self):
-        node = self.parse_set_factor()
+    def parse_set_term(self, first=None):
+        node = self.parse_set_factor() if first is None else first
         while self.peek().kind == "&":
             self.next()
             node = SetOp(and_, node, self.parse_set_factor())
         return node
 
-    def parse_set_factor(self):
+    def parse_set_factor(self, rect: str = "no"):
         tok = self.peek()
+        if tok.kind == "(" and not self.starts_bound(self.peek(1)):
+            return self.parse_group(rect)
         if tok.kind in ("[", "("):
-            return self.parse_interval_or_group()
+            return self.parse_interval()
         if tok.kind == "{":
             return self.parse_braces()
         if tok.kind == "ident" and tok.text == "prog":
@@ -363,46 +373,40 @@ class LineParser:
             return self.parse_ref()
         self.fail("expected a set")
 
-    def parse_interval_or_group(self):
-        open_tok = self.next()
-        # "(" can open either a grouped set expression or an open interval;
-        # a bound followed by "," settles it.
-        if open_tok.kind == "(":
-            save = self.pos
-            try:
-                bound = self.parse_bound()
-                if self.peek().kind == ",":
-                    return self.finish_interval(open_tok, bound)
-            except ParseError:
-                pass
-            self.pos = save
-            if self.depth == MAX_NESTING:
-                self.fail(f"parentheses nested deeper than {MAX_NESTING}", open_tok)
-            self.depth += 1
-            try:  # a failed rectangle attempt in parse_ind_arg is retried
-                node = self.parse_set_expr()
-            finally:
-                self.depth -= 1
-            self.expect(")")
-            return node
-        bound = self.parse_bound()
-        return self.finish_interval(open_tok, bound)
+    @staticmethod
+    def starts_bound(tok: Token) -> bool:
+        return tok.kind in ("int", "-") or tok.text == "inf"
 
-    def parse_bound(self) -> Optional[Fraction]:
+    def parse_group(self, rect: str = "no"):
+        """'(' set ')', or the rectangle '(' set 'x' set ')' as a one-piece
+        rect AST; ``rect`` is "no", "may" or "must"."""
+        open_tok = self.expect("(")
+        if self.depth == MAX_NESTING:
+            self.fail(f"parentheses nested deeper than {MAX_NESTING}", open_tok)
+        self.depth += 1
+        node = self.parse_set_expr()
+        if rect == "must" or (rect == "may" and self.peek().text == "x"):
+            self.expect_ident("x")
+            node = [(node, self.parse_set_expr())]
+        self.expect(")")
+        self.depth -= 1
+        return node
+
+    def parse_bound(self) -> Tuple[int, Fraction]:
+        """An endpoint in the order of the extended line: (-1, 0) for -inf,
+        (0, q) for a rational q, (1, 0) for inf."""
         tok = self.peek()
-        if tok.kind == "ident" and tok.text == "inf":
+        if tok.kind == "-" and self.peek(1).text == "inf":
+            self.pos += 2
+            return (-1, Fraction(0))
+        if tok.text == "inf":
             self.next()
-            return None
-        if tok.kind == "-":
-            save = self.pos
-            self.next()
-            if self.peek().kind == "ident" and self.peek().text == "inf":
-                self.next()
-                return None
-            self.pos = save
-        return self.parse_rational()
+            return (1, Fraction(0))
+        return (0, self.parse_rational())
 
-    def finish_interval(self, open_tok: Token, lo: Optional[Fraction]):
+    def parse_interval(self):
+        open_tok = self.next()
+        lo = self.parse_bound()
         self.expect(",")
         hi = self.parse_bound()
         close_tok = self.peek()
@@ -411,14 +415,14 @@ class LineParser:
         self.next()
         lo_open = open_tok.kind == "("
         hi_open = close_tok.kind == ")"
-        if lo is None and not lo_open:
+        if lo[0] and not lo_open:
             self.fail("infinite endpoint must be open", open_tok)
-        if hi is None and not hi_open:
+        if hi[0] and not hi_open:
             self.fail("infinite endpoint must be open", close_tok)
-        if lo is not None and hi is not None:
-            if lo > hi or (lo == hi and (lo_open or hi_open)):
-                self.fail("empty interval", close_tok)
-        return ("real", RealSet.interval(lo, hi, lo_open, hi_open))
+        if lo > hi or (lo == hi and (lo_open or hi_open)):
+            self.fail("empty interval", close_tok)
+        return ("real", RealSet.interval(
+            None if lo[0] else lo[1], None if hi[0] else hi[1], lo_open, hi_open))
 
     def parse_braces(self):
         self.expect("{")
@@ -429,13 +433,14 @@ class LineParser:
         points: List[Fraction] = []
         while True:
             tok = self.peek()
-            if tok.kind == "ident" and tok.text not in KEYWORDS:
-                if points:
-                    self.fail("cannot mix labels and numbers in a set", tok)
+            label = tok.kind == "ident" and tok.text not in KEYWORDS
+            if (points and label) or (labels and tok.kind in ("int", "-")):
+                self.fail("cannot mix labels and numbers in a set", tok)
+            if label:
                 labels.append(self.next().text)
+            elif labels:
+                self.fail(f"expected a label, found {tok.text or 'end of line'!r}")
             else:
-                if labels:
-                    self.fail("cannot mix labels and numbers in a set", tok)
                 points.append(self.parse_rational())
             if self.peek().kind == ",":
                 self.next()
@@ -458,12 +463,7 @@ class LineParser:
     def parse_rect_term(self):
         if self.peek().kind == "ident":
             return self.parse_ref()
-        self.expect("(")
-        left = self.parse_set_expr()
-        self.expect_ident("x")
-        right = self.parse_set_expr()
-        self.expect(")")
-        return (left, right)
+        return self.parse_group("must")[0]
 
     # -- simple functions
 
@@ -486,25 +486,13 @@ class LineParser:
         return FnTerm(sign * coeff, arg)
 
     def parse_ind_arg(self):
+        """A name, a rectangle, or a set expression."""
         tok = self.peek()
         if tok.kind == "ident" and tok.text not in KEYWORDS:
-            if self.tokens[self.pos + 1].kind == ")":
+            if self.peek(1).kind == ")":
                 return self.parse_ref(IndRef)
-        if tok.kind == "(":
-            # try a rectangle atom first: "(" set "x" set ")"
-            save = self.pos
-            try:
-                self.next()
-                left = self.parse_set_expr()
-                if self.peek().kind == "ident" and self.peek().text == "x":
-                    self.next()
-                    right = self.parse_set_expr()
-                    self.expect(")")
-                    return [(left, right)]
-            except ParseError:
-                pass
-            self.pos = save
-        return self.parse_set_expr()
+        first = self.parse_set_factor("may")
+        return first if isinstance(first, list) else self.parse_set_expr(first)
 
     def parse_fn_ref(self):
         tok = self.peek()

@@ -27,8 +27,12 @@ from sigma_product.measures import (
 )
 from sigma_product.rectset import RectUnion, rect_grid, refine_parts
 
-class _NegativeInfinity:
-    """Sentinel for diagnostic values of the form finite - infinity."""
+
+class _NegativeInfinity(Frozen):
+    """Sentinel for diagnostic values of the form finite - infinity; with
+    no fields it compares by type, so copies and unpickled ones are equal."""
+
+    __slots__ = ()
 
     def __repr__(self):
         return "-inf"

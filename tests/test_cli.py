@@ -8,6 +8,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sigma_product import cli
 from sigma_product.cli import (
@@ -226,6 +228,35 @@ def parse_single_measure(text: str):
     return doc.measures["M"]
 
 
+rationals = st.sampled_from([Fraction(0), Fraction(1), Fraction(-3), Fraction(5, 2), Fraction(-1, 3)])
+
+
+@st.composite
+def intervals(draw):
+    """An interval with finite or infinite ends and either bracket kind."""
+    lo, hi = sorted(draw(st.lists(rationals, min_size=2, max_size=2, unique=True)))
+    lo, hi = draw(st.sampled_from([lo, None])), draw(st.sampled_from([hi, None]))
+    lo_open = lo is None or draw(st.booleans())
+    hi_open = hi is None or draw(st.booleans())
+    return RealSet.interval(lo, hi, lo_open, hi_open)
+
+
+real_sets = st.recursive(
+    st.one_of(
+        intervals(),
+        st.lists(rationals, max_size=3).map(RealSet.points),
+        st.tuples(rationals, st.sampled_from([Fraction(1), Fraction(2), Fraction(1, 2)])).map(
+            lambda t: RealSet.progression(*t)),
+    ),
+    lambda inner: st.one_of(
+        st.tuples(inner, st.sampled_from(["|", "&", "\\"]), inner).map(
+            lambda t: {"|": t[0] | t[2], "&": t[0] & t[2], "\\": t[0] - t[2]}[t[1]]),
+        inner.map(RealSet.complement),
+    ),
+    max_leaves=4,
+)
+
+
 class TestRoundTrip:
     @pytest.mark.parametrize(
         "text",
@@ -245,6 +276,11 @@ class TestRoundTrip:
         s = parse_single_set(text)
         again = parse_single_set(s.render())
         assert again == s
+
+    @settings(max_examples=150, derandomize=True, deadline=None, database=None)
+    @given(s=real_sets)
+    def test_built_set_round_trip(self, s):
+        assert parse_single_set(s.render()) == s
 
     @pytest.mark.parametrize(
         "text",
@@ -311,6 +347,57 @@ class TestParserDiagnostics:
                 "measure M = atomic{0: 1, prog(0, 1): constant(1)}\n"
                 "cmd eval M {}\n"
             )
+
+
+def parse_message(text: str) -> str:
+    with pytest.raises(ParseError) as exc:
+        parse_spec(f"measure L = lebesgue\n{text}\ncmd eval L {{}}\n")
+    return str(exc.value)
+
+
+class TestIntervalsAndGroups:
+    """After '(' the next token decides between an interval and a group, and
+    each parse-error names the first token that cannot continue."""
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("cmd eval L (inf, 2)", "line 2, column 19: empty interval"),
+            ("cmd eval L (0, -inf)", "line 2, column 20: empty interval"),
+            ("cmd eval L (inf, inf)", "line 2, column 21: empty interval"),
+            ("cmd eval L (-inf, -inf)", "line 2, column 23: empty interval"),
+            ("cmd eval L (inf, 0] & {-5}", "line 2, column 19: empty interval"),
+            ("cmd eval L [inf, 2)", "line 2, column 12: infinite endpoint must be open"),
+            ("cmd eval L [1, 0]", "line 2, column 17: empty interval"),
+            ("cmd eval L (1, 0]", "line 2, column 17: empty interval"),
+            ("cmd eval L ((1, 0])", "line 2, column 18: empty interval"),
+            ("cmd eval L (2, 1/0)", "line 2, column 18: zero denominator"),
+            ("cmd eval L (1 x [0, 1])", "line 2, column 15: expected ',', found 'x'"),
+            ("cmd eval L (-a, 1)", "line 2, column 14: expected 'int', found 'a'"),
+            ("cmd eval L {1,}", "line 2, column 15: expected 'int', found '}'"),
+            ("cmd eval L {a,}", "line 2, column 15: expected a label, found '}'"),
+            ("cmd eval L {a, 1}", "line 2, column 16: cannot mix labels and numbers in a set"),
+            ("fn f = ind(([0, 1] x (1, 0]))", "line 2, column 27: empty interval"),
+            ("rect R = ([0, 1] x (inf, 1))", "line 2, column 27: empty interval"),
+            ("fn f = ind((([0, 1] x {5})))", "line 2, column 21: expected ')', found 'x'"),
+            ("measure T = tabulated{x: 1, b: 2}", "line 2, column 23: 'x' is reserved"),
+            ("measure T = tabulated{a: 1, inf: 2}", "line 2, column 29: 'inf' is reserved"),
+            ("measure T = tabulated{a: 1, prog: 2}", "line 2, column 29: 'prog' is reserved"),
+        ],
+    )
+    def test_message(self, text, message):
+        assert parse_message(text) == message
+
+    @pytest.mark.parametrize("text, is_rect", [
+        ("([0, 1]) | {5}", False),
+        ("([0, 1] x {5})", True),
+        ("(([0, 1]) x {5})", True),
+        ("((0, 1] x {5})", True),
+        ("(0, 1] | ({5} & [0, 9])", False),
+    ])
+    def test_ind_argument(self, text, is_rect):
+        doc = parse_spec(f"measure L = lebesgue\nfn f = ind({text})\ncmd integrate L f\n")
+        assert isinstance(doc.fns["f"][0].arg, list) == is_rect
 
 
 class TestPolymorphicBraces:
@@ -523,6 +610,20 @@ class TestNestingCap:
             expr = f"{{{k + 2}}} | ({expr})"
         doc = parse_spec(f"measure C = counting\ncmd eval C {expr}\n")
         assert run_document(doc) == ([("value", "inf"), ("class", "not-sigma-finite")], 0)
+
+    @pytest.mark.parametrize("template, over_column", [
+        ("rect R = (DEEP x [0, 1])", 110),  # the rect term's '(' is the first
+        ("fn f = ind((DEEP x [0, 1]))", 112),  # ind's own '(' is not a group
+    ])
+    def test_rectangle_parentheses_count_toward_the_cap(self, template, over_column):
+        def spec(depth):
+            return f"measure L = lebesgue\n{template.replace('DEEP', nested(depth))}\ncmd eval L {{}}\n"
+
+        ok = parse_spec(spec(self.CAP - 1))
+        assert ok.rects or ok.fns
+        with pytest.raises(ParseError) as exc:
+            parse_spec(spec(self.CAP))
+        assert str(exc.value) == f"line 2, column {over_column}: parentheses nested deeper than 100"
 
     @pytest.mark.parametrize("kind, first, cmd", [
         ("set", "[0, 1]", "eval L S{n}"),

@@ -246,3 +246,13 @@ def test_measures_pickle_and_copy(name):
     for y in (pickle.loads(pickle.dumps(x)), copy.copy(x), copy.deepcopy(x)):
         assert type(y) is type(x) and y == x
         assert [getattr(y, n) for n in type(x)._names] == [getattr(x, n) for n in type(x)._names]
+
+
+def test_report_with_neg_inf_pickles_and_copies():
+    import copy
+    import pickle
+
+    report = FIELDWISE["IntegralReport"]
+    for y in (pickle.loads(pickle.dumps(report)), copy.deepcopy(report)):
+        assert y == report and hash(y) == hash(report)
+        assert y.iterated_ts == NEG_INF and repr(y.iterated_ts) == "-inf"

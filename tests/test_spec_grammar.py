@@ -44,16 +44,21 @@ name = rarely(st.sampled_from(["S0", "S1", "C"]), st.sampled_from(["R0", "M0", "
 
 
 
+INFINITE = ("-inf", "inf")
+
+
 def _interval(lo, hi, lb, rb, swap):
-    """An interval, nonempty unless ``swap`` puts the bounds out of order."""
-    if lo != "-inf" and hi != "inf" and (Fraction(lo) > Fraction(hi)) != swap:
+    """An interval, nonempty unless ``swap`` puts the bounds out of order
+    or an infinity stands at the wrong end."""
+    if lo not in INFINITE and hi not in INFINITE and (Fraction(lo) > Fraction(hi)) != swap:
         lo, hi = hi, lo
-    return f"{'(' if lo == '-inf' else lb}{lo}, {hi}{')' if hi == 'inf' else rb}"
+    return f"{'(' if lo in INFINITE else lb}{lo}, {hi}{')' if hi in INFINITE else rb}"
 
 
 interval = st.builds(
     _interval,
-    st.one_of(number, number, st.just("-inf")), st.one_of(number, number, st.just("inf")),
+    st.one_of(number, number, rarely(st.just("-inf"), st.just("inf"))),
+    st.one_of(number, number, rarely(st.just("inf"), st.just("-inf"))),
     st.sampled_from("[("), st.sampled_from("])"), rarely(st.just(False), st.just(True)),
 )
 points = st.lists(number, min_size=1, max_size=3).map(lambda xs: "{" + ", ".join(xs) + "}")
