@@ -635,11 +635,13 @@ class Resolver:
         return (a[0], op(a[1], b[1]))
 
     def concrete_set(self, node, measure: Measure):
+        """The set ``node`` names under ``measure``: a rectangle union over
+        a product measure's two factors, else a set in its universe."""
+        if isinstance(measure, ProductMeasure):
+            return self.rect_union(node, measure.left, measure.right)
         poly = self.poly_set(node)
         universe = measure.universe
         if poly[0] == "empty":
-            if universe[0] == "prod":
-                raise UniverseMismatch("empty set cannot target a product measure")
             return empty_set_for(universe)
         if poly[0] == "real":
             if universe != ("line",):
@@ -650,7 +652,7 @@ class Resolver:
         if universe[0] != "fin":
             raise UniverseMismatch("label set used with a real-line measure")
         ground = universe[1]
-        for label in poly[1]:
+        for label in sorted(poly[1]):
             if label not in ground:
                 raise UniverseMismatch(f"label {label!r} not in the measure's ground")
         return FinSet.of(ground, poly[1])
@@ -673,42 +675,27 @@ class Resolver:
                 rects.append((a, b))
         return rects
 
-    def line_fn(self, fn, measure: Measure) -> SimpleFunction:
+    def simple_fn(self, fn, measure: Measure) -> SimpleFunction:
+        """The simple function ``fn`` under ``measure``, whose indicators are
+        of rects for a product measure and of sets otherwise.  Every name is
+        looked up first; then each term's shape is checked before that term
+        is resolved."""
+        terms = self.lookup(fn, "fn") if isinstance(fn, Ref) else fn
+        args = [self.lookup(term.arg, "set", "rect")
+                if isinstance(term.arg, IndRef) else term.arg for term in terms]
+        product = isinstance(measure, ProductMeasure)
         resolved = []
-        for coeff, _, arg in self._indicators(fn):
-            if isinstance(arg, list):
-                raise UniverseMismatch(
-                    "rectangle indicator used with a single measure"
-                )
-            resolved.append((coeff, self.concrete_set(arg, measure)))
-        return SimpleFunction(resolved, measure.universe)
-
-    def product_fn(self, fn, left: Measure, right: Measure) -> SimpleFunction:
-        resolved = []
-        for coeff, written, arg in self._indicators(fn):
-            if not isinstance(arg, list):
+        for term, arg in zip(terms, args):
+            if isinstance(arg, list) and not product:
+                raise UniverseMismatch("rectangle indicator used with a single measure")
+            if product and not isinstance(arg, list):
                 raise UniverseMismatch(
                     "fubini needs rectangle indicators"
-                    + (f" ({written.name!r} is not a rect)"
-                       if isinstance(written, IndRef) else "")
+                    + (f" ({term.arg.name!r} is not a rect)"
+                       if isinstance(term.arg, IndRef) else "")
                 )
-            ru = self.rect_union(arg, left, right)
-            if not ru.is_empty:
-                resolved.append((coeff, ru))
-        return SimpleFunction(
-            resolved, ("prod", left.universe, right.universe)
-        )
-
-    def _indicators(self, fn) -> List[Tuple[Fraction, object, object]]:
-        """(coefficient, argument as written, set or rect AST) per term,
-        with every name looked up before any set is built."""
-        terms = self.lookup(fn, "fn") if isinstance(fn, Ref) else fn
-        return [
-            (term.coeff, term.arg,
-             self.lookup(term.arg, "set", "rect")
-             if isinstance(term.arg, IndRef) else term.arg)
-            for term in terms
-        ]
+            resolved.append((term.coeff, self.concrete_set(arg, measure)))
+        return SimpleFunction(resolved, measure.universe)
 
 
 # ---------------------------------------------------------------------------
@@ -716,29 +703,19 @@ class Resolver:
 
 
 def run_document(doc: SpecDocument) -> Tuple[List[Tuple[str, str]], int]:
-    """Execute the document's command; returns output fields and exit code."""
+    """Execute the document's command; returns output fields and exit code.
+    The command's measures make one measure, their product when there are
+    two, and its last argument is resolved under that measure."""
     resolver = Resolver(doc)
     cmd = doc.command
-    if cmd.name in ("eval", "component", "classify"):
-        measure = resolver.measure(cmd.args[0])
-        if cmd.name == "component":
-            measure = measure.sigma_finite_component()
-        s = resolver.concrete_set(cmd.args[1], measure)
-        if cmd.name == "classify":
-            return [("class", measure.finiteness(s).render())], 0
-        value = measure.measure(s)
-        cls = measure.finiteness(s)
-        return [("value", str(value)), ("class", cls.render())], 0
-    if cmd.name == "product":
-        left = resolver.measure(cmd.args[0])
-        right = resolver.measure(cmd.args[1])
-        pm = ProductMeasure(left, right)
-        u = resolver.rect_union(cmd.args[2], left, right)
-        value, cls = pm.evaluate(u)
-        return [("value", str(value)), ("class", cls.render())], 0
+    *measures, target = cmd.args
+    measure = resolver.measure(measures[0])
+    if len(measures) == 2:
+        measure = ProductMeasure(measure, resolver.measure(measures[1]))
+    if cmd.name == "component":
+        measure = measure.sigma_finite_component()
     if cmd.name == "integrate":
-        measure = resolver.measure(cmd.args[0])
-        f = resolver.line_fn(cmd.args[1], measure)
+        f = resolver.simple_fn(target, measure)
         if f.nonnegative:
             # finite or not, the extended integral prints the same text
             return [("value", str(extended_integral(f, measure)))], 0
@@ -750,10 +727,8 @@ def run_document(doc: SpecDocument) -> Tuple[List[Tuple[str, str]], int]:
             ) from None
         return [("value", render_rational(value))], 0
     if cmd.name == "fubini":
-        left = resolver.measure(cmd.args[0])
-        right = resolver.measure(cmd.args[1])
-        f = resolver.product_fn(cmd.args[2], left, right)
-        report = fubini_check(f, left, right)
+        f = resolver.simple_fn(target, measure)
+        report = fubini_check(f, measure.left, measure.right)
         fields = [
             ("product", render_value(report.product_value)),
             ("iterated_sv", render_value(report.iterated_sv)),
@@ -763,7 +738,11 @@ def run_document(doc: SpecDocument) -> Tuple[List[Tuple[str, str]], int]:
         if report.reason:
             fields.append(("reason", report.reason))
         return fields, (0 if report.all_equal else 1)
-    raise AssertionError(f"unknown command {cmd.name!r}")
+    s = resolver.concrete_set(target, measure)
+    if cmd.name == "classify":
+        return [("class", measure.finiteness(s).render())], 0
+    value, cls = measure.evaluate(s)
+    return [("value", str(value)), ("class", cls.render())], 0
 
 
 def format_fields(fields: List[Tuple[str, str]], fmt: str) -> str:

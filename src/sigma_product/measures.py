@@ -60,6 +60,10 @@ class Measure:
     def finiteness(self, a) -> FinitenessClass:
         raise NotImplementedError
 
+    def evaluate(self, a) -> Tuple[ExtNonNeg, FinitenessClass]:
+        """The value and the finiteness class of ``a``."""
+        return self.measure(a), self.finiteness(a)
+
     def sigma_finite_component(self) -> "Measure":
         return SigmaFiniteComponent(self)
 

@@ -18,9 +18,34 @@ from sigma_product.cli import (
     run_document,
     run_file,
 )
-from sigma_product.errors import ParseError, SizeLimit, UniverseMismatch, UnresolvedName
-from sigma_product.lineset import RealSet
-from sigma_product.measures import CountableAtomic, DiracAt
+from sigma_product.errors import (
+    ParseError,
+    SigmaProductError,
+    SizeLimit,
+    UniverseMismatch,
+    UnresolvedName,
+)
+from sigma_product.extreal import INF, ExtNonNeg, render_rational
+from sigma_product.finset import FinSet
+from sigma_product.integration import (
+    SimpleFunction,
+    extended_integral,
+    fubini_check,
+    integrate,
+    render_value,
+)
+from sigma_product.lineset import Progression, RealSet
+from sigma_product.measures import (
+    ConstantWeights,
+    CountableAtomic,
+    CountingLine,
+    DiracAt,
+    FiniteTabulated,
+    GeometricWeights,
+    LebesgueLine,
+)
+from sigma_product.product import ProductMeasure
+from sigma_product.rectset import RectUnion
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -75,6 +100,12 @@ EXIT_CODES = {
     "48_product_named_rect_in_rect": 0,
     "49_integrate_nonnegative_levels": 0,
     "50_integrate_atomic_geometric": 0,
+    "51_eval_labels_on_line": 2,
+    "52_eval_line_on_ground": 2,
+    "53_product_label_off_ground": 2,
+    "54_integrate_rect_indicator": 2,
+    "55_integrate_mixed_first_term": 2,
+    "56_fubini_mixed_first_term": 2,
 }
 
 
@@ -421,6 +452,11 @@ class TestPolymorphicBraces:
         with pytest.raises(UniverseMismatch):
             run_document(doc)
 
+    def test_unknown_labels_name_the_first_in_order(self):
+        doc = parse_spec("measure T = tabulated{a: 2}\ncmd eval T {zz, y, q, m, k, b}\n")
+        with pytest.raises(UniverseMismatch, match="label 'b' not in"):
+            run_document(doc)
+
 
 class TestSizeLimitEnv:
     def test_env_var_bounds_closures(self, monkeypatch, tmp_path):
@@ -679,3 +715,143 @@ class TestCountableExpansionLimit:
         assert len(three.included.progressions) == 3
         with pytest.raises(SizeLimit, match=rf"into {count or '1[0-9][0-9]'} points and progressions \(limit 100\)$"):
             three & other
+
+
+# -- the CLI against the library API
+#
+# Inputs are library objects, rendered into a spec; every success must
+# print the library's own answer, and every error carry the kind of the
+# exception the library call raises.
+
+LABELS = ("a", "b", "c")
+weights = st.sampled_from([ExtNonNeg(0), ExtNonNeg(1), ExtNonNeg(Fraction(5, 2)), INF])
+line_measures = st.one_of(
+    st.just(LebesgueLine()),
+    st.just(CountingLine()),
+    rationals.map(DiracAt),
+    st.builds(
+        lambda points, rules: CountableAtomic(
+            points, [(Progression(Fraction(-1, 3), Fraction(1)), rule) for rule in rules]),
+        st.lists(st.tuples(st.sampled_from([Fraction(-3), Fraction(5, 2)]), weights),
+                 max_size=2, unique_by=lambda pw: pw[0]),
+        st.lists(st.one_of(
+            weights.map(ConstantWeights),
+            st.builds(GeometricWeights, st.sampled_from([Fraction(0), Fraction(3)]),
+                      st.sampled_from([Fraction(0), Fraction(1, 2)])),
+        ), max_size=1),
+    ),
+)
+tabulated = st.lists(
+    st.tuples(st.sampled_from(LABELS), weights), min_size=1, max_size=3, unique_by=lambda lw: lw[0]
+).map(lambda entries: FiniteTabulated.power_set(dict(entries)))
+library_measures = st.one_of(line_measures, tabulated)
+
+
+def sets_in(universe):
+    if universe[0] == "line":
+        return real_sets
+    ground = universe[1]
+    return st.sets(st.sampled_from(ground)).map(lambda labels: FinSet.of(ground, labels))
+
+
+@st.composite
+def sets_for(draw, measure, foreign=True):
+    """A set in ``measure``'s universe; with ``foreign``, one draw in
+    eight is a nonempty set from another universe."""
+    if foreign and draw(st.integers(0, 7)) == 0:
+        other = ("fin", LABELS) if measure.universe[0] == "line" else ("line",)
+        return draw(sets_in(other).filter(lambda s: not s.is_empty))
+    return draw(sets_in(measure.universe))
+
+
+def rect_text(pairs):
+    return " + ".join(f"({a.render()} x {b.render()})" for a, b in pairs)
+
+
+coefficients = st.sampled_from([Fraction(1), Fraction(3), Fraction(-2), Fraction(1, 2), Fraction(0)])
+
+
+@st.composite
+def cli_cases(draw, command):
+    """(spec text, library thunk) for ``command``; the thunk returns the
+    output fields and exit code that the CLI must print."""
+    ms = [draw(library_measures) for _ in range(2 if command in ("product", "fubini") else 1)]
+    lines = [f"measure M{i} = {m.render()}" for i, m in enumerate(ms)]
+    named = draw(st.booleans())
+
+    def pairs():
+        return draw(st.lists(st.tuples(sets_for(ms[0], False), sets_for(ms[1], False)),
+                             min_size=1, max_size=2))
+
+    if command in ("eval", "classify", "component"):
+        s = draw(sets_for(ms[0]))
+        target = s.render()
+
+        def library():
+            m = ms[0].sigma_finite_component() if command == "component" else ms[0]
+            if command == "classify":
+                return [("class", m.finiteness(s).render())], 0
+            value, cls = m.measure(s), m.finiteness(s)
+            assert m.evaluate(s) == (value, cls)
+            return [("value", str(value)), ("class", cls.render())], 0
+    elif command == "product":
+        rects = pairs()
+        target = rect_text(rects)
+
+        def library():
+            value, cls = ProductMeasure(*ms).evaluate(RectUnion(rects))
+            return [("value", str(value)), ("class", cls.render())], 0
+    elif command == "integrate":
+        terms = draw(st.lists(st.tuples(coefficients, sets_for(ms[0])), min_size=1, max_size=3))
+        target = " + ".join(f"{render_rational(c)}*ind({s.render()})" for c, s in terms)
+
+        def library():
+            f = SimpleFunction(terms, ms[0].universe)
+            if f.nonnegative:
+                return [("value", str(extended_integral(f, ms[0])))], 0
+            return [("value", render_rational(integrate(f, ms[0])))], 0
+    else:
+        terms = draw(st.lists(st.tuples(coefficients, st.builds(pairs)), min_size=1, max_size=2))
+        for i, (_, rects) in enumerate(terms):
+            lines.append(f"rect R{i} = {rect_text(rects)}")
+        target = " + ".join(f"{render_rational(c)}*ind(R{i})" for i, (c, _) in enumerate(terms))
+
+        def library():
+            f = SimpleFunction([(c, RectUnion(rects)) for c, rects in terms],
+                               ProductMeasure(*ms).universe)
+            report = fubini_check(f, *ms)
+            fields = [
+                ("product", render_value(report.product_value)),
+                ("iterated_sv", render_value(report.iterated_sv)),
+                ("iterated_ts", render_value(report.iterated_ts)),
+                ("verdict", report.verdict),
+            ]
+            if report.reason:
+                fields.append(("reason", report.reason))
+            return fields, (0 if report.all_equal else 1)
+    if named:
+        kind = {"product": "rect", "integrate": "fn", "fubini": "fn"}.get(command, "set")
+        lines.append(f"{kind} T = {target}")
+        target = "T"
+    lines.append(" ".join(["cmd", command] + [f"M{i}" for i in range(len(ms))] + [target]))
+    return "\n".join(lines) + "\n", library
+
+
+class TestAgreesWithLibrary:
+    @pytest.mark.parametrize(
+        "command", ["eval", "classify", "component", "product", "integrate", "fubini"])
+    @settings(max_examples=60, derandomize=True, deadline=None, database=None)
+    @given(data=st.data())
+    def test_cli_prints_the_library_answer(self, tmp_path_factory, command, data):
+        text, library = data.draw(cli_cases(command))
+        path = tmp_path_factory.mktemp("spec") / "case.spec"
+        path.write_text(text)
+        try:
+            fields, code = library()
+        except SigmaProductError as exc:
+            expected = (f"error: {exc.kind}: ", 2)
+            got, got_code = run_capture(path)
+            assert (got[:len(expected[0])], got_code) == expected, text
+        else:
+            expected = "".join(f"{key} = {value}\n" for key, value in fields)
+            assert run_capture(path) == (expected, code), text

@@ -353,6 +353,62 @@ class TestSigmaAdditivityRandomised:
         assert kinds == {None, "not-measurable"}
 
 
+class TestEvaluate:
+    """``evaluate(a)`` is the pair ``(measure(a), finiteness(a))`` on every
+    measure, and raises whatever either call raises."""
+
+    ATOMIC = CountableAtomic(
+        [(F(-1, 3), INF), (F(7, 3), ExtNonNeg(2))],
+        [
+            (Progression(F(0), F(1)), GeometricWeights(F(1), F(1, 2))),
+            (Progression(F(1, 2), F(1)), ConstantWeights(INF)),
+        ],
+    )
+    LINE_SETS = [
+        RealSet.empty(), pts(F(-1, 3), F(7, 3)), iv(0, 1), RealSet.line(), prg(0, 1),
+        iv(0, 3) | pts(F(-1, 3)), prg(F(1, 2), 1) & iv(0, 2), prg(F(1, 2), 1), iv(0, 1) - pts(F(1, 2)),
+    ]
+
+    @pytest.mark.parametrize("m", [LEB, CNT, DiracAt(F(1, 2)), ATOMIC],
+                             ids=["lebesgue", "counting", "dirac", "atomic"])
+    def test_line_measures(self, m):
+        for s in self.LINE_SETS:
+            assert m.evaluate(s) == (m.measure(s), m.finiteness(s))
+
+    def test_tables_and_extensions(self):
+        rng = random.Random(1313)
+        for _ in range(30):
+            ground = tuple(range(rng.randint(1, 4)))
+            for m in (random_table(rng, random_ring(rng, ground)),
+                      InfinityExtension(*random_extension_pair(rng, ground))):
+                for s in m.ring.sets():
+                    assert m.evaluate(s) == (m.measure(s), m.finiteness(s))
+
+    def test_component(self):
+        table = FiniteTabulated.power_set({"a": INF, "b": ExtNonNeg(2), "c": ZERO})
+        g = table.ring.ground
+        cases = [(CNT, self.LINE_SETS), (self.ATOMIC, self.LINE_SETS),
+                 (table, [FinSet(g, mask) for mask in range(8)])]
+        seen = set()
+        for base, sets in cases:
+            comp = base.sigma_finite_component()
+            for s in sets:
+                calls = [outcome(call, s) for call in (comp.measure, comp.finiteness, comp.evaluate)]
+                if base.finiteness(s) is NOT_SIGMA_FINITE:
+                    assert calls == [(None, "not-measurable")] * 3
+                else:
+                    assert calls[2] == ((calls[0][0], calls[1][0]), None)
+                seen.add(calls[0][1])
+        assert seen == {None, "not-measurable"}
+
+    def test_table_off_its_ring(self):
+        g = ("a", "b")
+        ring = generate_sigma_ring(g, [FinSet.of(g, ["a", "b"])])
+        m = FiniteTabulated(ring, {FinSet.of(g, ["a", "b"]): ExtNonNeg(1)})
+        for call in (m.measure, m.finiteness, m.evaluate):
+            assert outcome(call, FinSet.of(g, ["a"])) == (None, "not-measurable")
+
+
 class TestSigmaFiniteSubsetClosure:
     def test_real_line_instances(self):
         cases = [
