@@ -212,19 +212,28 @@ class LineParser:
 
     # -- numbers
 
+    def parse_int(self) -> int:
+        tok = self.expect("int")
+        try:
+            return int(tok.text)
+        except ValueError:  # more digits than Python converts from text
+            self.fail(
+                f"integer literal has more than {sys.get_int_max_str_digits()} digits", tok
+            )
+
     def parse_rational(self) -> Fraction:
         negative = False
         if self.peek().kind == "-":
             self.next()
             negative = True
-        num_tok = self.expect("int")
-        value = Fraction(int(num_tok.text))
+        num, den = self.parse_int(), 1
         if self.peek().kind == "/":
             self.next()
-            den_tok = self.expect("int")
-            if int(den_tok.text) == 0:
+            den_tok = self.peek()
+            den = self.parse_int()
+            if den == 0:
                 self.fail("zero denominator", den_tok)
-            value = Fraction(int(num_tok.text), int(den_tok.text))
+        value = Fraction(num, den)
         return -value if negative else value
 
     def parse_weight(self) -> ExtNonNeg:

@@ -29,8 +29,9 @@ class SizeLimit(SigmaProductError):
     """A representation would exceed the configured size bound: the members
     of a sigma-ring closure, the residue classes a union of progressions
     expands into, or the points and progressions an operation on a
-    countable set lists.  The CLI also raises it for a name reached through
-    more nested declarations than it allows."""
+    countable set lists, or the digits of a number printed as text.  The
+    CLI also raises it for a name reached through more nested declarations
+    than it allows."""
 
     kind = "size-limit"
 

@@ -8,10 +8,12 @@ All values are immutable and hashable.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from functools import total_ordering
 from typing import Iterable, Union
 
+from sigma_product.errors import SizeLimit
 from sigma_product.frozen import Frozen
 
 Rational = Fraction
@@ -95,7 +97,8 @@ class ExtNonNeg(Frozen):
         return self._value < other._value
 
     def __hash__(self) -> int:
-        return hash(("ExtNonNeg", self._value))
+        # as the bare Fraction, since ExtNonNeg(2) == 2; INF as None
+        return hash(self._value)
 
     def __str__(self) -> str:
         return "inf" if self._value is None else render_rational(self._value)
@@ -117,10 +120,17 @@ INF = ExtNonNeg(None)
 
 
 def render_rational(value: Fraction) -> str:
-    """Canonical ``p/q`` rendering; integers render without a denominator."""
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+    """Canonical ``p/q`` rendering; integers render without a denominator.
+    A numerator or denominator with more digits than Python converts to
+    text (``sys.get_int_max_str_digits()``) raises SizeLimit."""
+    try:
+        if value.denominator == 1:
+            return str(value.numerator)
+        return f"{value.numerator}/{value.denominator}"
+    except ValueError:
+        raise SizeLimit(
+            f"number has more than {sys.get_int_max_str_digits()} digits to print"
+        ) from None
 
 
 def parse_rational(text: str) -> Fraction:

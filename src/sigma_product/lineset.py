@@ -28,17 +28,6 @@ from sigma_product.sigma import size_limit
 LINE_UNIVERSE = ("line",)
 
 
-def _gcd_fractions(a: Fraction, b: Fraction) -> Fraction:
-    return Fraction(
-        math.gcd(a.numerator * b.denominator, b.numerator * a.denominator),
-        a.denominator * b.denominator,
-    )
-
-
-def _lcm_fractions(a: Fraction, b: Fraction) -> Fraction:
-    return a * b / _gcd_fractions(a, b)
-
-
 def _fmod(x: Fraction, period: Fraction) -> Fraction:
     """x reduced mod period into [0, period)."""
     return x - (x // period) * period
@@ -351,9 +340,6 @@ class CountablePart(Frozen):
                     progs.append(tail)
         return canonical_countable(pts, progs)
 
-    def minus_intervals(self, intervals: Sequence[Interval]) -> CountablePart:
-        return self.meet_intervals(iu_complement(intervals))
-
 
 EMPTY_COUNTABLE = CountablePart((), ())
 
@@ -449,10 +435,13 @@ def canonical_countable(
     if not pset and len(progs) == 1:
         return CountablePart((), (progs[0],))
 
-    period = progs[0].step
-    for g in progs[1:]:
-        period = _lcm_fractions(period, g.step)
-    classes = [int(period / g.step) for g in progs]
+    # Over a common denominator the steps are integers, and the joint
+    # period is their lcm.
+    denom = math.lcm(*(g.step.denominator for g in progs))
+    steps = [g.step.numerator * (denom // g.step.denominator) for g in progs]
+    joint = math.lcm(*steps)
+    period = Fraction(joint, denom)
+    classes = [joint // step for step in steps]
     bound = size_limit()
     if sum(classes) > bound:
         raise SizeLimit(
@@ -733,54 +722,40 @@ def _canonicalize(
         tuple(included.points) + tuple(degen), included.progressions
     )
     excluded = excluded.diff(included).meet_intervals(iu)
-    included = included.minus_intervals(iu)
+    included = included.meet_intervals(iu_complement(iu))
 
-    # Fold countable corrections at endpoints into the interval flags: a
-    # closed endpoint in excluded opens, an open endpoint in included
-    # closes.  A closed endpoint is never in included, nor an open one in
-    # excluded, so a flipped flag needs no second look: one pass suffices.
-    work: List[Interval] = []
+    # One pass folds countable corrections at endpoints into the interval
+    # flags: a closed endpoint in excluded opens, an open endpoint in
+    # included closes.  A closed endpoint is never in included, nor an open
+    # one in excluded, so each endpoint needs one look.  Two intervals of a
+    # normalized union that share an endpoint are both open there; they
+    # merge, through the point if it is included (the left one's flag has
+    # just closed) and punctured there if not.
+    merged: List[Interval] = []
     unexcluded: List[Fraction] = []
     unincluded: List[Fraction] = []
+    punctures: List[Fraction] = []
     for iv in iu:
-        lo_open, hi_open = iv.lo_open, iv.hi_open
-        if iv.lo is not None and (included if lo_open else excluded).member(iv.lo):
-            (unincluded if lo_open else unexcluded).append(iv.lo)
+        lo, lo_open, hi_open = iv.lo, iv.lo_open, iv.hi_open
+        if merged and merged[-1].hi == lo:
+            prev = merged.pop()
+            if prev.hi_open:
+                punctures.append(lo)
+            lo, lo_open = prev.lo, prev.lo_open
+        elif lo is not None and (included if lo_open else excluded).member(lo):
+            (unincluded if lo_open else unexcluded).append(lo)
             lo_open = not lo_open
         if iv.hi is not None and (included if hi_open else excluded).member(iv.hi):
             (unincluded if hi_open else unexcluded).append(iv.hi)
             hi_open = not hi_open
-        if (lo_open, hi_open) != (iv.lo_open, iv.hi_open):
-            iv = Interval(iv.lo, iv.hi, lo_open, hi_open)
-        work.append(iv)
-    # Endpoints come in ascending order; two open intervals may share one.
+        if lo is not iv.lo or lo_open != iv.lo_open or hi_open != iv.hi_open:
+            iv = Interval(lo, iv.hi, lo_open, hi_open)
+        merged.append(iv)
+    # Each list is ascending and holds every point once.
     if unexcluded:
         excluded = excluded.diff(CountablePart(tuple(unexcluded), ()))
+    if punctures:
+        excluded = excluded.union(CountablePart(tuple(punctures), ()))
     if unincluded:
-        included = included.diff(CountablePart(tuple(dict.fromkeys(unincluded)), ()))
-
-    iu, extra = normalize_intervals(work)
-    assert not extra
-
-    # Merge across single-point gaps, puncturing instead.
-    merged: List[Interval] = []
-    new_punctures: List[Fraction] = []
-    for iv in iu:
-        if (
-            merged
-            and merged[-1].hi is not None
-            and iv.lo == merged[-1].hi
-            and merged[-1].hi_open
-            and iv.lo_open
-        ):
-            new_punctures.append(iv.lo)
-            prev = merged[-1]
-            merged[-1] = Interval(prev.lo, iv.hi, prev.lo_open, iv.hi_open)
-        else:
-            merged.append(iv)
-    if new_punctures:
-        excluded = excluded.union(canonical_countable(new_punctures, ()))
-
-    return RealSet(
-        tuple(merged), excluded, included, _canonical=True
-    )
+        included = included.diff(CountablePart(tuple(unincluded), ()))
+    return RealSet(tuple(merged), excluded, included, _canonical=True)

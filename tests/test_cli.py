@@ -1,5 +1,6 @@
 import io
 import json
+import os
 import re
 import subprocess
 import sys
@@ -191,11 +192,15 @@ class TestJsonFormat:
 
 class TestEntrypoint:
     def test_module_invocation(self):
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
         proc = subprocess.run(
             [sys.executable, "-m", "sigma_product.cli", "run",
              str(GOLDEN / "10_product_finite.spec")],
             capture_output=True,
             text=True,
+            env=env,
         )
         assert proc.returncode == 0
         assert proc.stdout == (GOLDEN / "10_product_finite.out").read_text()
@@ -715,6 +720,41 @@ class TestCountableExpansionLimit:
         assert len(three.included.progressions) == 3
         with pytest.raises(SizeLimit, match=rf"into {count or '1[0-9][0-9]'} points and progressions \(limit 100\)$"):
             three & other
+
+
+class TestDigitLimit:
+    """Numbers past Python's int/str digit limit are a parse-error where
+    they are read and a size-limit where they would be printed."""
+
+    def run_both(self, tmp_path, text):
+        spec = tmp_path / "digits.spec"
+        spec.write_text(text)
+        out, code = run_capture(spec)
+        jout, jcode = run_capture(spec, "json")
+        assert jcode == code == 2
+        assert json.loads(jout)["error"] == dict(zip(("kind", "message"), out[len("error: "):-1].split(": ", 1)))
+        return out
+
+    @pytest.mark.parametrize("literal, column", [
+        ("1{}", 17), ("1/1{}", 19), ("-1{}", 18),
+    ], ids=["integer", "denominator", "negative"])
+    def test_literal_past_the_limit_is_a_parse_error(self, tmp_path, digit_limit, literal, column):
+        number = literal.format("0" * digit_limit)
+        out = self.run_both(tmp_path, f"measure L = lebesgue\ncmd eval L [-2, {number}]\n")
+        assert out == (f"error: parse-error: line 2, column {column}: "
+                       f"integer literal has more than {digit_limit} digits\n")
+
+    def test_literal_at_the_limit_parses(self, tmp_path, digit_limit):
+        spec = tmp_path / "digits.spec"
+        spec.write_text(f"measure C = counting\ncmd eval C {{{'9' * digit_limit}}}\n")
+        assert run_capture(spec) == ("value = 1\nclass = finite\n", 0)
+
+    def test_result_too_long_to_print_is_a_size_limit(self, tmp_path, digit_limit):
+        side = "9" * (digit_limit // 2 + 100)
+        out = self.run_both(tmp_path, (
+            f"measure L = lebesgue\nset S = [0, {side}]\n"
+            f"rect R = (S x S)\ncmd product L L R\n"))
+        assert out == f"error: size-limit: number has more than {digit_limit} digits to print\n"
 
 
 # -- the CLI against the library API

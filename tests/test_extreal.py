@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from sigma_product.errors import SizeLimit
 from sigma_product.extreal import (
     INF,
     ZERO,
@@ -165,6 +166,25 @@ def test_immutability_and_hash():
     with pytest.raises(AttributeError):
         INF._value = 3  # type: ignore[misc]
     assert len({ZERO, ExtNonNeg(0), INF, ExtNonNeg(None)}) == 2
+
+
+def test_hash_agrees_with_equality_on_rationals():
+    for value in (0, 2, Fraction(5, 2), Fraction(-0), 10**30):
+        assert ExtNonNeg(value) == value and hash(ExtNonNeg(value)) == hash(value)
+    assert 2 in {ExtNonNeg(2)} and ExtNonNeg(2) in {2}
+    assert Fraction(1, 3) in {ExtNonNeg(Fraction(1, 3)): "third"}
+    assert {ExtNonNeg(1), 1, Fraction(1)} == {1}
+    assert INF in {ExtNonNeg(None)} and 0 not in {INF}
+
+
+def test_number_too_long_to_print_is_a_size_limit(digit_limit):
+    big = 10**digit_limit  # one digit past the limit
+    assert render_rational(Fraction(big - 1)) == "9" * digit_limit
+    for value in (Fraction(big), Fraction(1, big), Fraction(-big, 7)):
+        with pytest.raises(SizeLimit, match=rf"more than {digit_limit} digits"):
+            render_rational(value)
+    with pytest.raises(SizeLimit):
+        str(ExtNonNeg(big))
 
 
 def test_ext_sum_helper():

@@ -108,7 +108,7 @@ def test_fieldwise_repr(name, text):
 
 
 def test_custom_equality_is_kept():
-    assert ExtNonNeg(3) == 3 and hash(ExtNonNeg(3)) == hash(("ExtNonNeg", F(3)))
+    assert ExtNonNeg(3) == 3 and hash(ExtNonNeg(3)) == hash(3) == hash(F(3))
     ring = CUSTOM["SigmaRingFin"]
     ring.atoms()  # fills the atom cache, which equality ignores
     assert ring == generate_sigma_ring(GROUND, [FinSet(GROUND, 0b011)])

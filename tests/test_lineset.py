@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -8,6 +9,7 @@ from sigma_product.lineset import (
     Interval,
     Progression,
     RealSet,
+    EMPTY_COUNTABLE,
     canonical_countable,
     intersect_progressions,
     normalize_intervals,
@@ -288,6 +290,127 @@ class TestRealSetCanonicalForm:
         inf_side = iv(0, None, False, True) - prg(5, 3)
         assert not inf_side.member(F(8))
         assert inf_side.member(F(6))
+
+
+def raw_member(intervals, excluded, included, x):
+    """Membership in RealSet(intervals, excluded, included) by definition:
+    a degenerate interval is an included point, and included wins over
+    excluded."""
+    if included.member(x) or any(i.degenerate and i.lo == x for i in intervals):
+        return True
+    return any(i.contains(x) for i in intervals if not i.degenerate) and not excluded.member(x)
+
+
+def assert_normal_form(s: RealSet):
+    """The conditions that make the canonical form unique: disjoint
+    nondegenerate intervals with a gap between each two, excluded points
+    strictly inside them and included points outside their closures."""
+    for a, b in zip(s.intervals, s.intervals[1:]):
+        assert a.hi is not None and b.lo is not None and a.hi < b.lo, s
+    assert not any(i.degenerate for i in s.intervals), s
+
+    def probes(cp):
+        yield from cp.points
+        for g in cp.progressions:
+            yield from (g.term(k) for k in range(6))
+
+    for x in probes(s.excluded):
+        assert any(i.contains(x) and x not in (i.lo, i.hi) for i in s.intervals), (s, x)
+    for x in probes(s.included):
+        assert not any(
+            (i.lo is None or i.lo <= x) and (i.hi is None or x <= i.hi) for i in s.intervals
+        ), (s, x)
+
+
+class TestOnePassCanonicalize:
+    """Endpoint corrections fold into the flags, and intervals sharing an
+    endpoint merge, in the canonicalizer's one loop."""
+
+    @pytest.mark.parametrize("count", [2, 3, 4])
+    def test_chains_of_open_intervals_sharing_endpoints(self, count):
+        """Every shared point included, excluded or neither, and every
+        outer endpoint closed or open, then included, excluded or neither."""
+        ends = [F(k, 2) for k in range(count + 1)]
+        fixes = ("in", "out", None)
+        outer = list(itertools.product((False, True), fixes))
+        for shared, (lo_closed, lo_fix), (hi_closed, hi_fix) in itertools.product(
+            itertools.product(fixes, repeat=count - 1), outer, outer
+        ):
+            ivs = [Interval(a, b, True, True) for a, b in zip(ends, ends[1:])]
+            ivs[0] = Interval(ends[0], ends[1], not lo_closed, True)
+            ivs[-1] = Interval(ends[-2], ends[-1], True, not hi_closed)
+            fix_at = dict(zip(ends, (lo_fix,) + shared + (hi_fix,)))
+            inc = [x for x, fix in fix_at.items() if fix == "in"]
+            exc = [x for x, fix in fix_at.items() if fix == "out"]
+            raw = RealSet(tuple(ivs), CountablePart(tuple(exc), ()), CountablePart(tuple(inc), ()))
+
+            lo_open = not (lo_fix == "in" or (lo_closed and lo_fix != "out"))
+            hi_open = not (hi_fix == "in" or (hi_closed and hi_fix != "out"))
+            assert raw.intervals == (Interval(ends[0], ends[-1], lo_open, hi_open),)
+            punctures = tuple(x for x, fix in zip(ends[1:-1], shared) if fix != "in")
+            assert raw.excluded == CountablePart(punctures, ())
+            assert raw.included == EMPTY_COUNTABLE
+
+            built = RealSet.empty()
+            for i in ivs:
+                built = built | RealSet((i,), EMPTY_COUNTABLE, EMPTY_COUNTABLE)
+            assert raw == (built - pts(*exc)) | pts(*inc), (shared, lo_fix, hi_fix)
+
+    def test_progression_corrections_at_shared_and_outer_endpoints(self):
+        chain = (Interval(F(0), F(1), True, True), Interval(F(1), F(2), True, True),
+                 Interval(F(2), F(3), False, True))
+        # 1, 2, 3, 4, ... included: closes the shared point 1 and the end 3
+        raw = RealSet(chain, EMPTY_COUNTABLE, CountablePart((), (Progression(F(1), F(1)),)))
+        assert raw.intervals == (Interval(F(0), F(3), True, False),)
+        assert raw.included == CountablePart((), (Progression(F(4), F(1)),))
+        assert raw.excluded == EMPTY_COUNTABLE
+        # 0, 2, 4, ... excluded: only 2 lies in an interval, at a closed
+        # end that then opens, so 1 and 2 both puncture one merged interval
+        raw = RealSet(chain, CountablePart((), (Progression(F(0), F(2)),)), EMPTY_COUNTABLE)
+        assert raw.intervals == (Interval(F(0), F(3), True, True),)
+        assert raw.excluded.points == (F(1), F(2)) and raw.included == EMPTY_COUNTABLE
+        assert raw == iv(0, 3, True, True) - pts(1, 2)
+
+    def test_random_raw_inputs(self):
+        rng = random.Random(1414)
+
+        def rand_cp():
+            points = [F(rng.randint(-8, 8), rng.choice((1, 2))) for _ in range(rng.randint(0, 4))]
+            progs = [Progression(F(rng.randint(-6, 6), rng.choice((1, 2))),
+                                 F(rng.randint(1, 3), rng.choice((1, 2))))
+                     for _ in range(rng.choice((0, 0, 1, 2)))]
+            return canonical_countable(points, progs)
+
+        def rand_interval(anchors):
+            a = rng.choice(anchors) if anchors and rng.random() < 0.5 else F(rng.randint(-8, 8), 2)
+            shape = rng.random()
+            if shape < 0.15:
+                return Interval(a, a, False, False)
+            if shape < 0.25:
+                return Interval(None, a, True, rng.random() < 0.5)
+            if shape < 0.35:
+                return Interval(a, None, rng.random() < 0.5, True)
+            b = a + F(rng.randint(1, 6), 2)
+            return Interval(a, b, rng.random() < 0.5, rng.random() < 0.5)
+
+        for _ in range(400):
+            ivs = []
+            for _ in range(rng.randint(0, 5)):
+                anchors = [e for i in ivs for e in (i.lo, i.hi) if e is not None]
+                ivs.append(rand_interval(anchors))  # often touching or overlapping
+            excluded, included = rand_cp(), rand_cp()
+            s = RealSet(tuple(ivs), excluded, included)
+            assert_normal_form(s)
+            ends = {e for i in ivs + list(s.intervals) for e in (i.lo, i.hi) if e is not None}
+            ends |= set(excluded.points) | set(included.points)
+            ends |= {g.term(k) for g in excluded.progressions + included.progressions for k in range(4)}
+            ordered = sorted(ends)
+            probes = ends | {(a + b) / 2 for a, b in zip(ordered, ordered[1:])}
+            if ordered:
+                probes |= {ordered[0] - 1, ordered[-1] + 1}
+            for x in probes:
+                assert s.member(x) == raw_member(ivs, excluded, included, x), (ivs, excluded, included, x)
+            assert RealSet(s.intervals, s.excluded, s.included) == s
 
 
 class TestRealSetOperations:

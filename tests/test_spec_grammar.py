@@ -190,6 +190,9 @@ KNOWN = [
     f"measure L = lebesgue\n{_chain('rect', '([0, 1] x [0, 1])', 600)}cmd product L L C600\n",
     "measure C = counting\ncmd eval C [0, 1000000000000] & prog(0, 1)\n",
     "measure C = counting\ncmd eval C prog(0, 1) \\ {1000000000000}\n",
+    # past Python's 4,300-digit int/str limit: read, and printed
+    f"measure L = lebesgue\ncmd eval L [0, 1{'0' * 5000}]\n",
+    f"measure L = lebesgue\nset S = [0, {'9' * 2200}]\nrect R = (S x S)\ncmd product L L R\n",
 ]
 
 

@@ -24,7 +24,14 @@ LAYER_METRICS = (
     "measures.evals",
     "product.rect_class.calls",
     "lineset.ops",
+    "lineset.canonical_countable.calls",
+    "rectset.refine_parts.calls",
+    "integration.grid_cells",
+    "integration.fubini_calls",
     "sigma.rings",
+    "sigma.members",
+    "finset.ops",
+    "extreal.ops",
 )
 
 
@@ -40,11 +47,20 @@ def test_each_traced_layer_sees_work():
         pm = lib.product.ProductMeasure(M.LebesgueLine(), M.CountingLine())
         side = RealSet.interval(Fraction(0), Fraction(1))
         pm.evaluate(lib.rectset.RectUnion([(side, side | RealSet.points([Fraction(3)]))]))
+        wide = RealSet.interval(Fraction(0), Fraction(2)) - RealSet.progression(Fraction(1), Fraction(1))
+        f = lib.integration.SimpleFunction([
+            (Fraction(1), lib.rectset.RectUnion([(side, side)])),
+            (Fraction(2), lib.rectset.RectUnion([(wide, RealSet.points([Fraction(1, 2)]))])),
+        ])
+        lib.integration.fubini_check(f, pm.left, pm.right)
         one = lib.extreal.ExtNonNeg(1)
         lib.product.finite_product_measure(
             M.FiniteTabulated.power_set({"a": one, "b": one}),
             M.FiniteTabulated.power_set({"c": one}),
         )
+        ground = ("a", "b", "c")
+        FinSet = lib.finset.FinSet
+        lib.sigma.generate_sigma_ring(ground, [FinSet.of(ground, "ab"), FinSet.of(ground, "bc")])
         tracer.enabled = False
     finally:
         tracer.uninstall()
