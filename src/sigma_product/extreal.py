@@ -13,7 +13,7 @@ from fractions import Fraction
 from functools import total_ordering
 from typing import Iterable, Union
 
-from sigma_product.errors import SizeLimit
+from sigma_product.errors import ParseError, SizeLimit
 from sigma_product.frozen import Frozen
 
 Rational = Fraction
@@ -108,10 +108,14 @@ class ExtNonNeg(Frozen):
 
     @staticmethod
     def parse(text: str) -> ExtNonNeg:
-        text = text.strip()
-        if text == "inf":
+        """``inf``, or a nonnegative number as ``parse_rational`` reads it;
+        a negative one raises ParseError at the column where it starts."""
+        if text.strip() == "inf":
             return INF
-        return ExtNonNeg(parse_rational(text))
+        value = parse_rational(text)
+        if value < 0:
+            raise ParseError("extended value must be nonnegative", 1, _start_column(text, 1))
+        return ExtNonNeg(value)
 
 
 ZERO = ExtNonNeg(0)
@@ -134,11 +138,35 @@ def render_rational(value: Fraction) -> str:
 
 
 def parse_rational(text: str) -> Fraction:
-    text = text.strip()
-    if "/" in text:
-        num, den = text.split("/", 1)
-        return Fraction(int(num), int(den))
-    return Fraction(int(text))
+    """The number written ``n`` or ``n/d`` with integers n and d.  A part
+    that is not an integer or has more digits than Python converts from
+    text (``sys.get_int_max_str_digits()``), or a zero denominator, raises
+    ParseError at line 1, at the column where that part starts."""
+    num, slash, den = text.partition("/")
+    value = Fraction(_parse_int(num, 1))
+    if slash:
+        column = len(num) + 2
+        divisor = _parse_int(den, column)
+        if divisor == 0:
+            raise ParseError("zero denominator", 1, _start_column(den, column))
+        value /= divisor
+    return value
+
+
+def _parse_int(part: str, column: int) -> int:
+    try:
+        return int(part)
+    except ValueError:
+        if part.strip().lstrip("+-").replace("_", "").isdecimal():
+            message = f"integer literal has more than {sys.get_int_max_str_digits()} digits"
+        else:
+            message = "not a rational number"
+        raise ParseError(message, 1, _start_column(part, column)) from None
+
+
+def _start_column(part: str, column: int) -> int:
+    """The column of part's first non-blank character, part starting at column."""
+    return column + len(part) - len(part.lstrip())
 
 
 def ext_sum(terms: Iterable[ExtNonNeg]) -> ExtNonNeg:

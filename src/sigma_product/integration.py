@@ -160,9 +160,8 @@ def _level_sets(terms: List[Tuple[Fraction, object]]):
     active = [(c, s) for c, s in terms if not s.is_empty]
     if not active:
         return ()
-    cells = refine_parts([s for _, s in active])
     levels: dict[Fraction, object] = {}
-    for cell in cells:
+    for cell, _ in refine_parts([s for _, s in active]):
         total = Fraction(0)
         for c, s in active:
             if (cell - s).is_empty:

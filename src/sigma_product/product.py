@@ -78,11 +78,10 @@ class ProductMeasure(Frozen, Measure):
     def measure(self, u: RectUnion) -> ExtNonNeg:
         return self.evaluate(u)[0]
 
-    def set_class(self, u: RectUnion) -> FinitenessClass:
-        return self.evaluate(u)[1]
-
     def finiteness(self, u: RectUnion) -> FinitenessClass:
         return self.evaluate(u)[1]
+
+    set_class = finiteness
 
     def render(self) -> str:
         return f"product({self.left.render()}, {self.right.render()})"

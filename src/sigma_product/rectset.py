@@ -27,23 +27,26 @@ def render_universe(u: tuple) -> str:
     return f"({render_universe(u[1])} x {render_universe(u[2])})"
 
 
-def refine_parts(sets: Sequence) -> List:
-    """Disjoint nonempty cells generating the same finite boolean algebra:
-    every input set is an exact union of cells."""
-    parts: List = []
-    for s in sets:
+def refine_parts(sets: Sequence) -> List[Tuple[object, int]]:
+    """Disjoint nonempty cells generating the same finite boolean algebra,
+    each paired with the bitmask of the inputs that contain it (bit k for
+    ``sets[k]``): every input set is the union of the cells carrying its
+    bit, and is disjoint from every other cell."""
+    parts: List[Tuple[object, int]] = []
+    for k, s in enumerate(sets):
+        bit = 1 << k
         out = []
         rest = s
-        for p in parts:
+        for p, mask in parts:
             inter = p & s
             if not inter.is_empty:
-                out.append(inter)
+                out.append((inter, mask | bit))
             diff = p - s
             if not diff.is_empty:
-                out.append(diff)
+                out.append((diff, mask))
             rest = rest - p
         if not rest.is_empty:
-            out.append(rest)
+            out.append((rest, bit))
         parts = out
     return parts
 
@@ -168,18 +171,18 @@ def rect_grid(rects: Sequence[Tuple[object, object]]):
 
     Returns ``(a_parts, b_parts, cover)``, where cover lists ``(i, j, k)``
     for each cell ``a_parts[i] x b_parts[j]`` inside the union of rects,
-    with k the index of the first rectangle that contains the cell.
+    with k the index of the first rectangle that contains the cell: the
+    lowest bit shared by the two cells' masks.
     """
     a_parts = refine_parts([a for a, _ in rects])
     b_parts = refine_parts([b for _, b in rects])
     cover = []
-    for i, a in enumerate(a_parts):
-        for j, b in enumerate(b_parts):
-            for k, (ra, rb) in enumerate(rects):
-                if (a - ra).is_empty and (b - rb).is_empty:
-                    cover.append((i, j, k))
-                    break
-    return a_parts, b_parts, cover
+    for i, (_, a_mask) in enumerate(a_parts):
+        for j, (_, b_mask) in enumerate(b_parts):
+            both = a_mask & b_mask
+            if both:
+                cover.append((i, j, (both & -both).bit_length() - 1))
+    return [a for a, _ in a_parts], [b for b, _ in b_parts], cover
 
 
 def rect_disjointify(u: RectUnion) -> RectUnion:

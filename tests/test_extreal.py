@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from sigma_product.errors import SizeLimit
+from sigma_product.errors import ParseError, SizeLimit
 from sigma_product.extreal import (
     INF,
     ZERO,
@@ -185,6 +185,35 @@ def test_number_too_long_to_print_is_a_size_limit(digit_limit):
             render_rational(value)
     with pytest.raises(SizeLimit):
         str(ExtNonNeg(big))
+
+
+def parse_error_at(parse, text):
+    with pytest.raises(ParseError) as caught:
+        parse(text)
+    assert caught.value.kind == "parse-error" and caught.value.line == 1
+    return caught.value.column, str(caught.value)
+
+
+@pytest.mark.parametrize("parse", [parse_rational, ExtNonNeg.parse])
+def test_unreadable_number_is_a_parse_error(parse, digit_limit):
+    long = "1" + "0" * digit_limit
+    too_long = f"line 1, column 1: integer literal has more than {digit_limit} digits"
+    assert parse_error_at(parse, long) == (1, too_long)
+    assert parse_error_at(parse, "2/" + long)[0] == 3
+    assert parse_error_at(parse, "1/0") == (3, "line 1, column 3: zero denominator")
+    assert parse_error_at(parse, " 5 / 0")[0] == 6
+    for text, column in (("abc", 1), ("  1.5", 3), ("", 1), ("3/", 3), ("3/x", 3), ("1/2/3", 3)):
+        message = f"line 1, column {column}: not a rational number"
+        assert parse_error_at(parse, text) == (column, message)
+
+
+def test_negative_extended_value_is_a_parse_error():
+    assert parse_rational(" -3/4") == Fraction(-3, 4)
+    for text, column in (("-1", 1), (" -3/4", 2), ("3/-4", 1)):
+        assert parse_error_at(ExtNonNeg.parse, text) == (
+            column, f"line 1, column {column}: extended value must be nonnegative"
+        )
+    assert ExtNonNeg.parse(" inf ") == INF and ExtNonNeg.parse("0/5") == ZERO
 
 
 def test_ext_sum_helper():

@@ -6,7 +6,7 @@ import pytest
 from sigma_product.errors import UniverseMismatch
 from sigma_product.finset import FinSet
 from sigma_product.lineset import RealSet
-from sigma_product.rectset import RectUnion, rect_disjointify, refine_parts
+from sigma_product.rectset import RectUnion, rect_disjointify, rect_grid, refine_parts
 
 F = Fraction
 
@@ -62,7 +62,7 @@ class TestDisjointify:
             for _ in range(rng.randint(1, 4)):
                 a = F(rng.randint(-5, 5))
                 sets.append(iv(a, a + rng.randint(1, 6)))
-            parts = refine_parts(sets)
+            parts = [p for p, _ in refine_parts(sets)]
             for i, p in enumerate(parts):
                 assert not p.is_empty
                 for q in parts[i + 1 :]:
@@ -73,6 +73,90 @@ class TestDisjointify:
                     if (p - s).is_empty:
                         rebuilt = rebuilt | p
                 assert rebuilt == s
+
+
+def random_line_set(rng):
+    kind = rng.randrange(4)
+    a = F(rng.randint(-4, 4))
+    if kind == 0:
+        return RealSet.empty()
+    if kind == 1:
+        return pts(*rng.sample(range(-4, 5), rng.randint(1, 3)))
+    width = rng.randint(0, 5)
+    s = iv(a, a + width, width and rng.random() < 0.5, width and rng.random() < 0.5)
+    return s | pts(rng.randint(-6, 6)) if kind == 3 else s
+
+
+def random_fin_set(rng, ground=("a", "b", "c", "d")):
+    return FinSet.of(ground, [x for x in ground if rng.random() < 0.5])
+
+
+def random_family(rng, draw):
+    """Random sets, with empty, repeated and nested members mixed in."""
+    family = []
+    for _ in range(rng.randint(1, 5)):
+        roll = rng.random()
+        if family and roll < 0.2:
+            family.append(rng.choice(family))
+        elif family and roll < 0.4:
+            family.append(rng.choice(family) & draw(rng))
+        elif family and roll < 0.5:
+            family.append(rng.choice(family) - rng.choice(family))
+        else:
+            family.append(draw(rng))
+    return family
+
+
+def first_cover(a_parts, b_parts, rects):
+    """rect_grid's cover as subset tests: each cell with the first
+    rectangle that contains it."""
+    cover = []
+    for i, a in enumerate(a_parts):
+        for j, b in enumerate(b_parts):
+            for k, (ra, rb) in enumerate(rects):
+                if (a - ra).is_empty and (b - rb).is_empty:
+                    cover.append((i, j, k))
+                    break
+    return cover
+
+
+class TestRefineMasks:
+    @pytest.mark.parametrize("draw,empty", [(random_line_set, RealSet.empty()),
+                                            (random_fin_set, FinSet.of(("a", "b", "c", "d"), []))])
+    def test_masks_are_the_containing_inputs(self, draw, empty):
+        rng = random.Random(15)
+        for _ in range(60):
+            sets = random_family(rng, draw)
+            parts = refine_parts(sets)
+            for i, (cell, mask) in enumerate(parts):
+                assert not cell.is_empty
+                assert 0 <= mask < 1 << len(sets)
+                for k, s in enumerate(sets):
+                    assert bool(mask >> k & 1) == (cell - s).is_empty
+                for other, _ in parts[i + 1 :]:
+                    assert (cell & other).is_empty
+            for k, s in enumerate(sets):
+                rebuilt = empty
+                for cell, mask in parts:
+                    if mask >> k & 1:
+                        rebuilt = rebuilt | cell
+                assert rebuilt == s
+
+    def test_equal_and_empty_members(self):
+        s, t = iv(0, 2), iv(1, 3)
+        parts = refine_parts([s, RealSet.empty(), s, t])
+        assert sorted(mask for _, mask in parts) == [0b0101, 0b1000, 0b1101]
+
+    @pytest.mark.parametrize("draw", [random_line_set, random_fin_set])
+    def test_grid_cover_matches_subset_tests(self, draw):
+        rng = random.Random(16)
+        for _ in range(40):
+            rects = [(draw(rng), draw(rng)) for _ in range(rng.randint(1, 2))]
+            for _ in range(rng.randint(1, 3)):
+                a, b = rng.choice(rects)
+                rects.append((a | draw(rng), (b & draw(rng)) | draw(rng)))
+            a_parts, b_parts, cover = rect_grid(rects)
+            assert cover == first_cover(a_parts, b_parts, rects)
 
 
 class TestBooleanOps:

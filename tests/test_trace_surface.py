@@ -4,7 +4,8 @@
 refactor that moves or renames one of them zeroes a per-layer metric
 while every other check still passes.  This test installs that tracer,
 runs one query through each layer it reports on, and checks that each
-layer saw work.  It only reads ``perfbench/``.
+layer saw work, and that the grid counts of one Fubini check are exact.
+It only reads ``perfbench/``.
 """
 
 import io
@@ -67,3 +68,32 @@ def test_each_traced_layer_sees_work():
     assert not hasattr(lib.cli.run_file, "__wrapped__")
     metrics = tracer.metrics()
     assert {key: metrics[key] for key in LAYER_METRICS if not metrics[key] > 0} == {}
+
+
+def test_traced_grid_cells_count_the_fubini_grid():
+    lib = import_library(with_cli=False)
+    RealSet, RectUnion = lib.lineset.RealSet, lib.rectset.RectUnion
+
+    def iv(lo, hi):
+        return RealSet.interval(Fraction(lo), Fraction(hi))
+
+    f = lib.integration.SimpleFunction([
+        (Fraction(1), RectUnion([(iv(0, 2), iv(0, 2))])),
+        (Fraction(3), RectUnion([(iv(1, 3), iv(1, 3)), (iv(2, 4), iv(0, 1))])),
+    ])
+    rects = [rect for _, u in f.terms for rect in u.rects]
+    a_parts, b_parts, _ = lib.rectset.rect_grid(rects)
+    mu, nu = lib.measures.LebesgueLine(), lib.measures.CountingLine()
+    tracer = Tracer(lib)
+    tracer.install()
+    try:
+        tracer.enabled = True
+        lib.integration.fubini_check(f, mu, nu)
+        tracer.enabled = False
+    finally:
+        tracer.uninstall()
+    metrics = tracer.metrics()
+    assert len(rects) >= 3 and len(a_parts) * len(b_parts) > len(rects)
+    assert metrics["rectset.refine_parts.calls"] == 2
+    assert metrics["rectset.refine_cells"] == len(a_parts) + len(b_parts)
+    assert metrics["integration.grid_cells"] == len(a_parts) * len(b_parts)
