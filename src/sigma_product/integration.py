@@ -226,47 +226,30 @@ def _check_universe(f: SimpleFunction, universe: tuple) -> None:
 # Product grids
 
 
-class _Grid:
-    """A product grid: cells lists ``(i, j, c)`` for each cell
-    a_parts[i] x b_parts[j] where the function takes the nonzero value c."""
-
-    __slots__ = ("a_parts", "b_parts", "cells")
-
-    def __init__(self, a_parts: list, b_parts: list, cells: tuple):
-        self.a_parts = a_parts
-        self.b_parts = b_parts
-        self.cells = cells
-
-
-def _product_grid(f: SimpleFunction) -> _Grid:
+def _grid(f: SimpleFunction, mu: Measure, nu: Measure):
+    """The product grid of f: the cells ``(i, j, c)`` where f takes the
+    nonzero value c on a_parts[i] x b_parts[j], with each A-part's and
+    B-part's ``(value, class)`` from one evaluation."""
+    _check_universe(f, ("prod", mu.universe, nu.universe))
     rects, coeffs = [], []
     for c, ru in f.terms:
         for rect in ru.rects:
             rects.append(rect)
             coeffs.append(c)
     a_parts, b_parts, cover = rect_grid(rects)
-    return _Grid(a_parts, b_parts, tuple((i, j, coeffs[k]) for i, j, k in cover))
-
-
-def _measured_grid(f: SimpleFunction, mu: Measure, nu: Measure):
-    """The product grid of f, with the measure of each side part."""
-    _check_universe(f, ("prod", mu.universe, nu.universe))
-    grid = _product_grid(f)
-    return grid, [mu.measure(a) for a in grid.a_parts], [nu.measure(b) for b in grid.b_parts]
+    cells = tuple((i, j, coeffs[k]) for i, j, k in cover)
+    return cells, [mu.evaluate(a) for a in a_parts], [nu.evaluate(b) for b in b_parts]
 
 
 def tensor_functional(f: SimpleFunction, mu: Measure, nu: Measure) -> Fraction:
     """Value of the tensor functional on a product simple function whose
-    rectangles have finite-measure sides; also recomputes the value by
-    slicing in both orders and insists the three agree."""
-    grid, mu_vals, nu_vals = _measured_grid(f, mu, nu)
-    for i, j, _ in grid.cells:
-        if not (mu_vals[i].is_finite and nu_vals[j].is_finite):
+    rectangles have finite-measure sides: the product value of the Fubini
+    report, whose identity check covers both slicing orders."""
+    cells, mu_ev, nu_ev = _grid(f, mu, nu)
+    for i, j, _ in cells:
+        if not (mu_ev[i][0].is_finite and nu_ev[j][0].is_finite):
             raise NotSimpleTensor("a rectangle side has infinite measure")
-    cell_values = [mu_vals[i] * nu_vals[j] for i, j, _ in grid.cells]
-    direct, by_rows, by_cols = _integrals(grid, mu_vals, nu_vals, cell_values)
-    assert direct == by_rows == by_cols, "slicing orders disagree"
-    return direct
+    return _report(f, cells, mu_ev, nu_ev).product_value
 
 
 # ---------------------------------------------------------------------------
@@ -324,17 +307,22 @@ def fubini_check(f: SimpleFunction, mu: Measure, nu: Measure) -> IntegralReport:
     integrand of sigma-finite support, by Tonelli.  Otherwise the verdict
     flags the broken hypothesis, and the values may genuinely disagree.
     """
-    grid, mu_vals, nu_vals = _measured_grid(f, mu, nu)
-    mu_nsf = [mu.finiteness(a) is NOT_SIGMA_FINITE for a in grid.a_parts]
-    nu_nsf = [nu.finiteness(b) is NOT_SIGMA_FINITE for b in grid.b_parts]
+    return _report(f, *_grid(f, mu, nu))
+
+
+def _report(f: SimpleFunction, cells, mu_ev, nu_ev) -> IntegralReport:
+    mu_vals = [v for v, _ in mu_ev]
+    nu_vals = [v for v, _ in nu_ev]
+    mu_nsf = [cls is NOT_SIGMA_FINITE for _, cls in mu_ev]
+    nu_nsf = [cls is NOT_SIGMA_FINITE for _, cls in nu_ev]
 
     # A cell with a non-sigma-finite side has product measure infinity.
-    sigma_finite_support = not any(mu_nsf[i] or nu_nsf[j] for i, j, _ in grid.cells)
+    sigma_finite_support = not any(mu_nsf[i] or nu_nsf[j] for i, j, _ in cells)
     cell_values = [
         INF if mu_nsf[i] or nu_nsf[j] else mu_vals[i] * nu_vals[j]
-        for i, j, _ in grid.cells
+        for i, j, _ in cells
     ]
-    product, sv, ts = _integrals(grid, mu_vals, nu_vals, cell_values)
+    product, sv, ts = _integrals(cells, mu_vals, nu_vals, cell_values)
 
     if all(v.is_finite for v in cell_values) or (f.nonnegative and sigma_finite_support):
         assert product == sv == ts, "Fubini-Tonelli identity failed"
@@ -346,13 +334,13 @@ def fubini_check(f: SimpleFunction, mu: Measure, nu: Measure) -> IntegralReport:
     return IntegralReport(product, sv, ts, HYPOTHESIS_VIOLATED, reason)
 
 
-def _integrals(grid, mu_vals, nu_vals, cell_values) -> Tuple[Value, Value, Value]:
-    """The product integral and both iterated integrals of the grid, each
+def _integrals(cells, mu_vals, nu_vals, cell_values) -> Tuple[Value, Value, Value]:
+    """The product integral and both iterated integrals of the cells, each
     as the integral of the positive part minus that of the negative part.
     A null row meets an infinite column in a null cell (0 * inf = 0), so an
     integrable grid has finite parts and exact rational values."""
-    pos = _tonelli_extended(grid, mu_vals, nu_vals, cell_values, 1)
-    neg = _tonelli_extended(grid, mu_vals, nu_vals, cell_values, -1)
+    pos = _tonelli_extended(cells, mu_vals, nu_vals, cell_values, 1)
+    neg = _tonelli_extended(cells, mu_vals, nu_vals, cell_values, -1)
     return tuple(_ext_sub(p, n) for p, n in zip(pos, neg))
 
 
@@ -366,13 +354,13 @@ def _ext_sub(p: ExtNonNeg, n: ExtNonNeg) -> Value:
     return None  # inf - inf
 
 
-def _tonelli_extended(grid, mu_vals, nu_vals, cell_values, sign):
-    """All three integrals in [0, inf] of the part of the grid whose
+def _tonelli_extended(cells, mu_vals, nu_vals, cell_values, sign):
+    """All three integrals in [0, inf] of the cells whose
     coefficients have the given sign (1 or -1), taken by magnitude."""
     product = ZERO
     rows: dict[int, ExtNonNeg] = {}
     cols: dict[int, ExtNonNeg] = {}
-    for (i, j, c), value in zip(grid.cells, cell_values):
+    for (i, j, c), value in zip(cells, cell_values):
         if c * sign < 0:
             continue
         w = ExtNonNeg(c * sign)

@@ -670,9 +670,8 @@ class RealSet(Frozen):
         included = other.meet_countable(self.included).union(
             self.meet_countable(other.included)
         )
-        included = canonical_countable(
-            tuple(included.points) + tuple(p for p in degen if self.member(p) and other.member(p)),
-            included.progressions,
+        included = included.union(
+            CountablePart(tuple(p for p in degen if self.member(p) and other.member(p)), ())
         )
         return RealSet(core, excluded, included)
 

@@ -121,27 +121,6 @@ class CountingLine(Frozen, Measure):
         return "counting"
 
 
-class DiracAt(Frozen, Measure):
-    """Unit point mass."""
-
-    __slots__ = ("point",)
-    universe = LINE_UNIVERSE
-
-    def __init__(self, point: Fraction):
-        object.__setattr__(self, "point", Fraction(point))
-
-    def measure(self, a: RealSet) -> ExtNonNeg:
-        self.check_universe(a)
-        return ExtNonNeg(1) if a.member(self.point) else ZERO
-
-    def finiteness(self, a: RealSet) -> FinitenessClass:
-        self.check_universe(a)
-        return FINITE
-
-    def render(self) -> str:
-        return f"dirac({render_rational(self.point)})"
-
-
 class WeightRule(Frozen):
     """The weights of the points k = 0, 1, 2, ... of a progression, summed
     in closed form by ``mass``."""
@@ -265,6 +244,22 @@ class CountableAtomic(Frozen, Measure):
             f"{g.render()}: {rule.render()}" for g, rule in self.progression_weights
         ]
         return "atomic{" + ", ".join(bits) + "}"
+
+
+class DiracAt(CountableAtomic):
+    """Unit point mass: the atomic measure with one point of weight 1."""
+
+    __slots__ = ()
+
+    def __init__(self, point: Fraction):
+        super().__init__([(point, ExtNonNeg(1))])
+
+    @property
+    def point(self) -> Fraction:
+        return self.point_masses[0][0]
+
+    def render(self) -> str:
+        return f"dirac({render_rational(self.point)})"
 
 
 def _validate_disjoint(points: List[Fraction], progs: List[Progression]) -> None:

@@ -9,6 +9,7 @@ from sigma_product.finset import FinSet
 from sigma_product.integration import (
     ALL_EQUAL,
     HYPOTHESIS_VIOLATED,
+    IntegralReport,
     SimpleFunction,
     ae_equal,
     extended_integral,
@@ -17,18 +18,19 @@ from sigma_product.integration import (
     is_integrable,
     render_value,
     tensor_functional,
-    _Grid,
     _integrals,
 )
 from sigma_product.lineset import RealSet
 from sigma_product.measures import (
+    CountableAtomic,
     CountingLine,
+    DiracAt,
     FiniteTabulated,
     LebesgueLine,
 )
 from sigma_product.oracle import oracle_fubini
 from sigma_product.product import ProductMeasure
-from sigma_product.rectset import RectUnion
+from sigma_product.rectset import RectUnion, rect_grid
 
 F = Fraction
 LEB = LebesgueLine()
@@ -319,6 +321,21 @@ class TestFubiniCheck:
         assert report.verdict == ALL_EQUAL
         assert report.product_value == -2 + F(3, 2)
 
+    def test_product_factor_is_evaluated_once_per_part(self, monkeypatch):
+        a1 = RectUnion.of((iv(0, 1), pts(0)))
+        a2 = RectUnion.of((iv(0, 2), pts(0, 1)))
+        f = ind(RectUnion.of((a1, iv(0, 1)))) + ind(RectUnion.of((a2, iv(0, 3))), 2)
+        a_parts, _, _ = rect_grid([rect for _, u in f.terms for rect in u.rects])
+        calls = []
+        evaluate = ProductMeasure.evaluate
+        monkeypatch.setattr(
+            ProductMeasure, "evaluate", lambda pm, u: calls.append(u) or evaluate(pm, u)
+        )
+        report = fubini_check(f, ProductMeasure(LEB, CNT), LEB)
+        # mu(a1) * 1 + 2 * mu(a2) * 3, with mu(a1) = 1 * 1 and mu(a2) = 2 * 2
+        assert report == IntegralReport(F(25), F(25), F(25), ALL_EQUAL)
+        assert len(a_parts) == 2 and calls == list(a_parts)
+
     def test_signed_non_integrable_diagnostic(self):
         f = ind(RectUnion.of((RealSet.line(), pts(0))), -1)
         report = fubini_check(f, LEB, CNT)
@@ -414,13 +431,82 @@ class TestFubiniCheck:
                 assert got == want, (wmu, wnu, coeffs)
 
 
-def fubini_signed_reference(grid, mu_vals, nu_vals, cell_values):
+class TestTensorIsTheReportValue:
+    """The tensor functional is the Fubini report's product value when every
+    rectangle side has finite measure, and raises NotSimpleTensor exactly
+    when some rectangle, and so some grid cell, has an infinite side."""
+
+    def check(self, f, mu, nu, counts):
+        sides = [
+            (mu.measure(a), nu.measure(b)) for _, u in f.terms for a, b in u.rects
+        ]
+        report = fubini_check(f, mu, nu)
+        if all(x.is_finite and y.is_finite for x, y in sides):
+            assert tensor_functional(f, mu, nu) == report.product_value
+            assert report.verdict == ALL_EQUAL
+            counts["applies"] += 1
+        else:
+            with pytest.raises(NotSimpleTensor):
+                tensor_functional(f, mu, nu)
+            counts["raises"] += 1
+        counts["zero_inf"] += any({x, y} == {ZERO, INF} for x, y in sides)
+
+    def test_random_line_grids(self):
+        sides = [
+            iv(0, 1), iv(0, 2), iv(1, 3, True), pts(0), pts(0, 1), pts(F(1, 2)),
+            prg(0, 1), iv(0, None, False, True), RealSet.line() - pts(0), iv(0, 1) | pts(5),
+        ]
+        measures = [
+            LEB, CNT, DiracAt(F(1, 2)),
+            CountableAtomic([(F(0), INF), (F(1), ExtNonNeg(2))]),
+        ]
+        coeffs = [F(-2), F(-1), F(1, 2), F(1), F(2)]
+        rng = random.Random(16)
+        counts = {"applies": 0, "raises": 0, "zero_inf": 0}
+        for _ in range(300):
+            mu, nu = rng.choice(measures), rng.choice(measures)
+            f = SimpleFunction(
+                [
+                    (rng.choice(coeffs), RectUnion.of((rng.choice(sides), rng.choice(sides))))
+                    for _ in range(rng.randint(1, 3))
+                ],
+                ("prod", ("line",), ("line",)),
+            )
+            self.check(f, mu, nu, counts)
+        assert counts["applies"] > 50 and counts["raises"] > 50 and counts["zero_inf"] > 20
+
+    def test_random_finite_ground_grids(self):
+        weights = [ZERO, ExtNonNeg(1), ExtNonNeg(F(5, 2)), INF]
+        rng = random.Random(61)
+        counts = {"applies": 0, "raises": 0, "zero_inf": 0}
+        for _ in range(300):
+            mu = FiniteTabulated.power_set({x: rng.choice(weights) for x in "abc"})
+            nu = FiniteTabulated.power_set({y: rng.choice(weights) for y in "de"})
+            g1, g2 = mu.ring.ground, nu.ring.ground
+            f = SimpleFunction(
+                [
+                    (
+                        F(rng.choice([-2, -1, 1, 3])),
+                        RectUnion.of((
+                            FinSet(g1, rng.randrange(1, 1 << len(g1))),
+                            FinSet(g2, rng.randrange(1, 1 << len(g2))),
+                        )),
+                    )
+                    for _ in range(rng.randint(1, 3))
+                ],
+                ("prod", mu.universe, nu.universe),
+            )
+            self.check(f, mu, nu, counts)
+        assert counts["applies"] > 50 and counts["raises"] > 50 and counts["zero_inf"] > 20
+
+
+def fubini_signed_reference(cells, mu_vals, nu_vals, cell_values):
     """The former exact-rational accumulator for integrable grids: the sum
     over cells and the outer sums of the row and column slices, skipping
     the slices of a null row or column, since they may be infinite."""
     product = Fraction(0)
     rows, cols = {}, {}
-    for (i, j, c), value in zip(grid.cells, cell_values):
+    for (i, j, c), value in zip(cells, cell_values):
         product += c * value.finite
         if not mu_vals[i].is_zero:
             rows[i] = rows.get(i, 0) + c * nu_vals[j].finite
@@ -450,9 +536,8 @@ class TestIntegralsAgainstSignedReference:
             cell_values = [mu_vals[i] * nu_vals[j] for i, j, _ in cells]
             if not all(v.is_finite for v in cell_values):
                 continue
-            grid = _Grid(list(range(rows)), list(range(cols)), cells)
-            got = _integrals(grid, mu_vals, nu_vals, cell_values)
-            want = fubini_signed_reference(grid, mu_vals, nu_vals, cell_values)
+            got = _integrals(cells, mu_vals, nu_vals, cell_values)
+            want = fubini_signed_reference(cells, mu_vals, nu_vals, cell_values)
             assert got == want, (mu_vals, nu_vals, cells)
             assert all(type(v) is Fraction for v in got)
             checked += 1

@@ -1,8 +1,9 @@
 """Differential tests for the shortcuts in line-set boolean operations.
 
-``RealSet.complement`` skips canonicalization, the ``CountablePart`` ops
-return early on an empty operand, and ``canonical_countable`` returns a
-lone progression unchanged.  Each shortcut is compared here with the full
+``RealSet.complement`` skips canonicalization, ``RealSet.__and__`` adds
+the surviving degenerate intersection points to an already canonical
+part, the ``CountablePart`` ops return early on an empty operand, and
+``canonical_countable`` returns a lone progression unchanged.  Each shortcut is compared here with the full
 canonicalization of the same raw inputs, and the boolean operations with a
 pointwise evaluator of random set trees that uses no library code.
 """
@@ -20,6 +21,7 @@ from sigma_product.lineset import (
     RealSet,
     canonical_countable,
     iu_complement,
+    iu_intersect,
 )
 
 F = Fraction
@@ -136,6 +138,55 @@ def test_complement_of_edge_shapes():
     for s in shapes:
         full = RealSet(iu_complement(s.intervals), s.included, s.excluded)
         assert s.complement() == full, s
+
+
+# -- intersection
+
+
+def and_with_full_canonicalization(a: RealSet, b: RealSet) -> RealSet:
+    """``a & b`` with the included part canonicalized again together with
+    the degenerate intersection points that lie in both sets."""
+    core, degen = iu_intersect(a.intervals, b.intervals)
+    excluded = a.excluded.union(b.excluded).meet_intervals(core)
+    included = b.meet_countable(a.included).union(a.meet_countable(b.included))
+    included = canonical_countable(
+        tuple(included.points) + tuple(p for p in degen if a.member(p) and b.member(p)),
+        included.progressions,
+    )
+    return RealSet(core, excluded, included)
+
+
+def touching_pairs():
+    """Intervals meeting at 1 with every choice of endpoint flags, alone, with
+    points and with a progression through the shared endpoint."""
+    extras = [
+        RealSet.empty(),
+        RealSet.points([F(1)]),
+        RealSet.points([F(1), F(5)]),
+        RealSet.progression(F(-3), F(2)),
+    ]
+    for left_open in (False, True):
+        for right_open in (False, True):
+            left = RealSet.interval(F(0), F(1), False, left_open)
+            right = RealSet.interval(F(1), F(2), right_open, False)
+            for x in extras:
+                for y in extras:
+                    yield left | x, right | y
+                    yield left - x, right | y
+
+
+def test_and_equals_full_canonicalization():
+    rng = random.Random(7)
+    pairs = [(build(rand_tree(rng, 3)), build(rand_tree(rng, 3))) for _ in range(400)]
+    touching = list(touching_pairs())
+    degenerate = 0
+    for a, b in pairs + touching:
+        got, want = a & b, and_with_full_canonicalization(a, b)
+        assert got == want and repr(got) == repr(want), (a, b)
+        degenerate += bool(iu_intersect(a.intervals, b.intervals)[1])
+    assert degenerate > 40
+    touch = touching[0]
+    assert touch[0] & touch[1] == RealSet.points([F(1)])
 
 
 # -- CountablePart shortcuts against canonical_countable on raw inputs

@@ -9,7 +9,7 @@ from sigma_product.errors import (
     SigmaProductError,
     UniverseMismatch,
 )
-from sigma_product.extreal import INF, ZERO, ExtNonNeg
+from sigma_product.extreal import INF, ZERO, ExtNonNeg, render_rational
 from sigma_product.finset import FinSet
 from sigma_product.lineset import Progression, RealSet
 from sigma_product.measures import (
@@ -136,6 +136,25 @@ class TestDirac:
         assert d.measure(iv(0, 1)) == ExtNonNeg(1)
         assert d.measure(iv(0, 1) - pts(F(1, 2))) == ZERO
         assert d.finiteness(RealSet.line()) is FINITE
+
+    def test_is_the_atomic_measure_of_one_unit_point(self):
+        from test_lineset import random_realset
+
+        rng = random.Random(2024)
+        hits = 0
+        for _ in range(400):
+            p = F(rng.randint(-20, 20), rng.randint(1, 4))
+            d, atomic = DiracAt(p), CountableAtomic([(p, ExtNonNeg(1))])
+            assert isinstance(d, CountableAtomic) and d.point == p
+            assert d.render() == f"dirac({render_rational(p)})"
+            assert d != atomic and d.point_masses == atomic.point_masses
+            s = random_realset(rng)
+            if rng.random() < 0.5:
+                s = s | pts(p) if rng.random() < 0.5 else s - pts(p)
+            assert d.measure(s) == atomic.measure(s)
+            assert d.finiteness(s) is atomic.finiteness(s) is FINITE
+            hits += s.member(p)
+        assert 100 < hits < 300
 
 
 class TestFiniteTabulated:
