@@ -90,34 +90,12 @@ def _lo_key(iv: Interval):
     return (1, iv.lo, 1 if iv.lo_open else 0)
 
 
-def _hi_greater(a: Interval, b: Interval) -> bool:
-    """True if a's right end reaches strictly beyond b's."""
-    if a.hi is None:
-        return b.hi is not None
-    if b.hi is None:
-        return False
-    if a.hi != b.hi:
-        return a.hi > b.hi
-    return b.hi_open and not a.hi_open
-
-
-def _overlap_or_touch(a: Interval, b: Interval) -> bool:
-    """Assumes a starts no later than b; true if their union is an interval."""
-    if a.hi is None:
-        return True
-    if b.lo is None:
-        return True
-    if b.lo < a.hi:
-        return True
-    if b.lo == a.hi:
-        return not (a.hi_open and b.lo_open)
-    return False
-
-
 def normalize_intervals(
     intervals: Iterable[Interval],
 ) -> Tuple[Tuple[Interval, ...], List[Fraction]]:
-    """Merge overlaps/touches; degenerate inputs come back as points."""
+    """Merge overlaps/touches; degenerate inputs come back as points, which
+    the RealSet canonicalizer folds in later.  The complement of the gaps
+    is the union, as its maximal intervals."""
     points: List[Fraction] = []
     proper: List[Interval] = []
     for iv in intervals:
@@ -125,18 +103,9 @@ def normalize_intervals(
             points.append(iv.lo)
         else:
             proper.append(iv)
-    proper.sort(key=_lo_key)
-    merged: List[Interval] = []
-    for iv in proper:
-        if merged and _overlap_or_touch(merged[-1], iv):
-            last = merged[-1]
-            if _hi_greater(iv, last):
-                merged[-1] = Interval(last.lo, iv.hi, last.lo_open, iv.hi_open)
-        else:
-            merged.append(iv)
-    # A degenerate point touching/inside the union is folded in later by the
-    # RealSet canonicalizer; here we only report it.
-    return tuple(merged), points
+    if len(proper) < 2:
+        return tuple(proper), points
+    return iu_complement(iu_complement(sorted(proper, key=_lo_key))), points
 
 
 def iu_contains(intervals: Sequence[Interval], x: Fraction) -> bool:
@@ -169,41 +138,41 @@ def iu_intersect_pair(a: Interval, b: Interval) -> Optional[Interval]:
 def iu_intersect(
     a: Sequence[Interval], b: Sequence[Interval]
 ) -> Tuple[Tuple[Interval, ...], List[Fraction]]:
-    pieces = []
+    """The meet of two normalized unions as intervals and one-point meets.
+    Like each operand's intervals, the pairwise meets are in order and no
+    two of them could merge, so they are not normalized again."""
+    pieces: List[Interval] = []
+    points: List[Fraction] = []
     for x in a:
         for y in b:
             z = iu_intersect_pair(x, y)
-            if z is not None:
+            if z is None:
+                continue
+            if z.degenerate:
+                points.append(z.lo)
+            else:
                 pieces.append(z)
-    return normalize_intervals(pieces)
+    return tuple(pieces), points
 
 
 def iu_complement(intervals: Sequence[Interval]) -> Tuple[Interval, ...]:
-    """Complement within the whole line; input must be normalized."""
+    """Complement within the whole line of intervals sorted by ``_lo_key``,
+    overlapping or not: the gaps from the furthest right end so far to the
+    next left end."""
     out: List[Interval] = []
-    prev_hi: Optional[Fraction] = None
-    prev_hi_open = True
-    first = True
+    # The pending gap starts at lo (None: at -inf), and holds lo unless open.
+    lo: Optional[Fraction] = None
+    lo_open = True
     for iv in intervals:
-        if first and iv.lo is None:
-            prev_hi, prev_hi_open, first = iv.hi, iv.hi_open, False
-            continue
-        lo_bound = prev_hi
-        lo_open_flag = not prev_hi_open
-        if first:
-            lo_bound, lo_open_flag = None, True
-            first = False
         if iv.lo is not None:
-            hi_bound, hi_open_flag = iv.lo, not iv.lo_open
-            if lo_bound is None or lo_bound < hi_bound or (
-                lo_bound == hi_bound and not (lo_open_flag or hi_open_flag)
-            ):
-                out.append(Interval(lo_bound, hi_bound, lo_open_flag, hi_open_flag))
-        prev_hi, prev_hi_open = iv.hi, iv.hi_open
-    if first:
-        return (Interval(None, None, True, True),)
-    if prev_hi is not None:
-        out.append(Interval(prev_hi, None, not prev_hi_open, True))
+            hi_open = not iv.lo_open
+            if lo is None or lo < iv.lo or (lo == iv.lo and not (lo_open or hi_open)):
+                out.append(Interval(lo, iv.lo, lo_open, hi_open))
+        if iv.hi is None:
+            return tuple(out)
+        if lo is None or iv.hi > lo or (iv.hi == lo and not (lo_open or iv.hi_open)):
+            lo, lo_open = iv.hi, not iv.hi_open
+    out.append(Interval(lo, None, lo_open, True))
     return tuple(out)
 
 
@@ -390,25 +359,16 @@ def _progression_minus(
         k0 = int((inter.base - g.base) / g.step)
         t = int(inter.step / g.step)
         index_classes.append((k0, t))
-    removed_points = set()
-    for p in removal.points:
-        k = (p - g.base) / g.step
-        if k >= 0 and k.denominator == 1:
-            removed_points.add(int(k))
+    removed_points = {int((p - g.base) / g.step) for p in removal.points if g.member(p)}
+    if not index_classes and not removed_points:
+        return [], [g]
 
-    if not index_classes:
-        if not removed_points:
-            return [], [g]
-        cutoff = max(removed_points) + 1
-        _check_expansion(cutoff + 1 - len(removed_points), room)
-        pts = [g.term(k) for k in range(cutoff) if k not in removed_points]
-        return pts, [Progression(g.term(cutoff), g.step)]
-
+    # Every removed index lies below cutoff: the removed points are not listed.
     period = math.lcm(*[t for _, t in index_classes])
     cutoff = max(
         [k0 for k0, _ in index_classes] + [p + 1 for p in removed_points] + [0]
     )
-    _check_expansion(cutoff + period, room)
+    _check_expansion(cutoff + period - len(removed_points), room)
 
     def removed(k: int) -> bool:
         if k in removed_points:
@@ -670,9 +630,9 @@ class RealSet(Frozen):
         included = other.meet_countable(self.included).union(
             self.meet_countable(other.included)
         )
-        included = included.union(
-            CountablePart(tuple(p for p in degen if self.member(p) and other.member(p)), ())
-        )
+        # A one-point meet is a closed end of both operands' intervals, which
+        # the normal form never excludes, so it lies in both sets.
+        included = included.union(CountablePart(tuple(degen), ()))
         return RealSet(core, excluded, included)
 
     def __or__(self, other: "RealSet") -> "RealSet":

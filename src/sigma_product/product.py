@@ -57,9 +57,11 @@ class ProductMeasure(Frozen, Measure):
         cb = self.right.finiteness(b)
         if ca is NOT_SIGMA_FINITE or cb is NOT_SIGMA_FINITE:
             return NOT_SIGMA_FINITE
-        if ca is FINITE and cb is FINITE:
-            return FINITE
-        return SIGMA_FINITE_INFINITE
+        if ca is cb:
+            return ca
+        # An infinite side times a null finite side is null.
+        finite_side = self.left.measure(a) if ca is FINITE else self.right.measure(b)
+        return FINITE if finite_side.is_zero else SIGMA_FINITE_INFINITE
 
     def evaluate(self, u: RectUnion) -> Tuple[ExtNonNeg, FinitenessClass]:
         """The value and the finiteness class of a rectangle union, with

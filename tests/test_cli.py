@@ -721,6 +721,15 @@ class TestCountableExpansionLimit:
         with pytest.raises(SizeLimit, match=rf"into {count or '1[0-9][0-9]'} points and progressions \(limit 100\)$"):
             three & other
 
+    def test_the_bound_counts_only_what_is_listed(self, monkeypatch):
+        """Removed indices below the cutoff are not listed, so they do not
+        count against the limit."""
+        monkeypatch.setenv("SIGMA_PRODUCT_SIZE_LIMIT", "100")
+        removal = RealSet.points([Fraction(k) for k in range(150)])
+        removal |= RealSet.progression(Fraction(0), Fraction(2))
+        got = RealSet.progression(Fraction(0), Fraction(1)) - removal
+        assert got == RealSet.progression(Fraction(151), Fraction(2))
+
 
 class TestDigitLimit:
     """Numbers past Python's int/str digit limit are a parse-error where

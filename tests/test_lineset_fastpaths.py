@@ -1,11 +1,12 @@
 """Differential tests for the shortcuts in line-set boolean operations.
 
 ``RealSet.complement`` skips canonicalization, ``RealSet.__and__`` adds
-the surviving degenerate intersection points to an already canonical
-part, the ``CountablePart`` ops return early on an empty operand, and
+the one-point meets of the intervals to an already canonical part, the
+``CountablePart`` ops return early on an empty operand, and
 ``canonical_countable`` returns a lone progression unchanged.  Each shortcut is compared here with the full
 canonicalization of the same raw inputs, and the boolean operations with a
-pointwise evaluator of random set trees that uses no library code.
+pointwise evaluator of random set trees that uses no library code.  The
+interval sweep is checked against its contract on raw interval lists.
 """
 
 import random
@@ -17,11 +18,15 @@ import pytest
 from sigma_product.errors import SizeLimit
 from sigma_product.lineset import (
     EMPTY_COUNTABLE,
+    Interval,
     Progression,
     RealSet,
+    _lo_key,
     canonical_countable,
     iu_complement,
+    iu_contains,
     iu_intersect,
+    normalize_intervals,
 )
 
 F = Fraction
@@ -187,6 +192,66 @@ def test_and_equals_full_canonicalization():
     assert degenerate > 40
     touch = touching[0]
     assert touch[0] & touch[1] == RealSet.points([F(1)])
+
+
+# -- the interval sweep
+
+
+def rand_raw_intervals(rng):
+    """0-6 intervals on a coarse grid, so that they often overlap, touch or
+    repeat; some are unbounded and some degenerate."""
+    out = []
+    for _ in range(rng.randint(0, 6)):
+        lo = None if rng.random() < 0.15 else F(rng.randint(-6, 6), 2)
+        hi = None if rng.random() < 0.15 else F(rng.randint(-6, 6), 2)
+        if lo is not None and hi is not None and hi < lo:
+            lo, hi = hi, lo
+        if lo is not None and lo == hi:
+            out.append(Interval(lo, hi, False, False))
+        else:
+            lo_open = lo is None or rng.random() < 0.5
+            out.append(Interval(lo, hi, lo_open, hi is None or rng.random() < 0.5))
+    return out
+
+
+def sweep_probes(intervals):
+    ends = sorted({e for iv in intervals for e in (iv.lo, iv.hi) if e is not None} | {F(0)})
+    mids = [(x + y) / 2 for x, y in zip(ends, ends[1:])]
+    return ends + mids + [ends[0] - 1, ends[-1] + 1]
+
+
+def could_merge(p: Interval, q: Interval) -> bool:
+    """Whether p, which starts first, overlaps or touches q."""
+    if p.hi is None or q.lo is None or q.lo < p.hi:
+        return True
+    return q.lo == p.hi and not (p.hi_open and q.lo_open)
+
+
+def test_normalize_intervals_keeps_the_union_and_merges_all():
+    rng = random.Random(41)
+    for _ in range(2000):
+        raw = rand_raw_intervals(rng)
+        pieces, points = normalize_intervals(raw)
+        assert not any(iv.degenerate for iv in pieces), raw
+        for p, q in zip(pieces, pieces[1:]):
+            assert _lo_key(p) < _lo_key(q) and not could_merge(p, q), raw
+        for x in sweep_probes(raw):
+            want = iu_contains(raw, x)
+            assert (iu_contains(pieces, x) or x in points) == want, (raw, x)
+
+
+def test_complement_of_any_sorted_list():
+    rng = random.Random(43)
+    overlapping = 0
+    for _ in range(2000):
+        raw = sorted(rand_raw_intervals(rng), key=_lo_key)
+        overlapping += any(could_merge(p, q) for p, q in zip(raw, raw[1:]))
+        gaps = iu_complement(raw)
+        for p, q in zip(gaps, gaps[1:]):
+            assert _lo_key(p) < _lo_key(q) and not could_merge(p, q), raw
+        for x in sweep_probes(raw):
+            assert iu_contains(gaps, x) != iu_contains(raw, x), (raw, x)
+    assert overlapping > 500
 
 
 # -- CountablePart shortcuts against canonical_countable on raw inputs

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -5,13 +6,15 @@ import pytest
 
 from sigma_product.errors import NotMeasurable, UniverseMismatch
 from sigma_product.extreal import INF, ZERO, ExtNonNeg
-from sigma_product.finset import FinSet
+from sigma_product.finset import FinSet, product_set
 from sigma_product.lineset import RealSet
 from sigma_product.measures import (
     FINITE,
     NOT_SIGMA_FINITE,
     SIGMA_FINITE_INFINITE,
+    CountableAtomic,
     CountingLine,
+    DiracAt,
     FiniteTabulated,
     LebesgueLine,
 )
@@ -61,6 +64,43 @@ class TestRectClassify:
     def test_empty_side_is_finite(self):
         assert LXD.rect_class(RealSet.empty(), RealSet.line()) is FINITE
         assert LXD.rect_class(RealSet.line(), RealSet.empty()) is FINITE
+
+    def test_null_side_makes_an_infinite_side_finite(self):
+        assert LXD.rect_class(pts(0), prg(0, 1)) is FINITE
+
+    def test_agrees_with_evaluate_of_the_rectangle(self):
+        """The class of a nonempty rectangle is the class ``evaluate`` gives
+        the union of that one rectangle."""
+        pool = [
+            iv(0, 1), iv(0, 2), iv(1, 3, True), pts(0), pts(0, 1), pts(F(1, 2)),
+            prg(0, 1), prg(F(1, 2), 2), iv(0, None, False, True), iv(None, 0, True, False),
+            RealSet.line(),
+        ]
+        measures = [
+            LEB, CNT, DiracAt(F(1, 2)), DiracAt(F(0)),
+            CountableAtomic([(F(0), INF), (F(1), ExtNonNeg(2))]),
+            CountableAtomic([(F(1, 2), ZERO), (F(2), ExtNonNeg(3))]),
+        ]
+        rng = random.Random(18)
+
+        def side():
+            s = rng.choice(pool)
+            for _ in range(rng.randint(0, 2)):
+                t = rng.choice(pool)
+                s = s | t if rng.random() < 0.5 else s - t
+            return s
+
+        mixed_null = 0
+        for _ in range(2000):
+            a, b = side(), side()
+            if a.is_empty or b.is_empty:
+                continue
+            pm = ProductMeasure(rng.choice(measures), rng.choice(measures))
+            got = pm.rect_class(a, b)
+            assert got is pm.evaluate(RectUnion([(a, b)]))[1], (pm, a, b)
+            classes = {pm.left.finiteness(a), pm.right.finiteness(b)}
+            mixed_null += classes == {FINITE, SIGMA_FINITE_INFINITE} and got is FINITE
+        assert mixed_null > 50
 
 
 class TestProductEval:
@@ -291,8 +331,6 @@ class TestFiniteProductMeasure:
                         b = FinSet(nu.ring.ground, bm)
                         if not (mu.measure(a).is_finite and nu.measure(b).is_finite):
                             continue
-                        from sigma_product.finset import product_set
-
                         rect = product_set(a, b, ring.ground)
                         if perturbed.measure(rect) != mu.measure(a) * nu.measure(b):
                             broken = True
@@ -353,11 +391,6 @@ class TestComponentProductAgreement:
     sigma-finite components; off it, the product is infinite."""
 
     def test_exhaustive_2x2(self):
-        import itertools
-
-        from sigma_product.errors import NotMeasurable
-        from sigma_product.oracle import powerset as oracle_powerset
-
         values = [ZERO, ExtNonNeg(1), INF]
         for w in itertools.product(values, repeat=4):
             mu = FiniteTabulated.power_set({"a": w[0], "b": w[1]})
@@ -367,7 +400,7 @@ class TestComponentProductAgreement:
                 mu.sigma_finite_component(), nu.sigma_finite_component()
             )
             g1, g2 = mu.ring.ground, nu.ring.ground
-            for subset in oracle_powerset([(x, y) for x in g1 for y in g2]):
+            for subset in powerset([(x, y) for x in g1 for y in g2]):
                 if not subset:
                     continue
                 u = RectUnion(
@@ -381,8 +414,6 @@ class TestComponentProductAgreement:
                     assert pm.measure(u) == pm_sigma.measure(u)
 
     def test_real_line_cases(self):
-        from sigma_product.errors import NotMeasurable
-
         pm = ProductMeasure(LEB, CNT)
         pm_sigma = ProductMeasure(
             LEB.sigma_finite_component(), CNT.sigma_finite_component()
